@@ -84,6 +84,17 @@ impl SaturatingCounter {
         self.value = self.value.saturating_sub(self.dec);
     }
 
+    /// Steps the counter up when `up` holds, down otherwise — the same
+    /// result as [`increment`](Self::increment) or
+    /// [`decrement`](Self::decrement), computed without branching on
+    /// `up`.
+    #[inline]
+    pub fn step(&mut self, up: bool) {
+        let raised = self.value.saturating_add(self.inc).min(self.max);
+        let lowered = self.value.saturating_sub(self.dec);
+        self.value = if up { raised } else { lowered };
+    }
+
     /// Sets the counter to an exact value, as restored from a serialized
     /// predictor state.
     ///
@@ -162,6 +173,24 @@ mod tests {
         c.decrement();
         c.decrement();
         assert_eq!(c.value(), 0);
+    }
+
+    #[test]
+    fn step_matches_increment_and_decrement() {
+        for (bits, inc, dec) in [(3, 1, 2), (2, 1, 1), (4, 3, 5)] {
+            let mut c = SaturatingCounter::new(bits, inc, dec);
+            for i in 0..200u32 {
+                let up = (i * 7 + i / 3) % 5 < 3;
+                let mut expected = c;
+                if up {
+                    expected.increment();
+                } else {
+                    expected.decrement();
+                }
+                c.step(up);
+                assert_eq!(c, expected, "step {i}");
+            }
+        }
     }
 
     #[test]

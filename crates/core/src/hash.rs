@@ -57,6 +57,12 @@ pub enum HashFunction {
 impl HashFunction {
     /// XOR-folds a 64-bit value into `bits` bits.
     ///
+    /// The loop runs a fixed ⌈64/`bits`⌉ times — one pass per `bits`-wide
+    /// slice of the word — rather than until the value runs out, so its
+    /// exit depends only on the width, never on the (data-dependent)
+    /// value. Slices above the value's top bit are zero and fold in as
+    /// no-ops.
+    ///
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 63.
@@ -69,7 +75,7 @@ impl HashFunction {
         let mask = (1u64 << bits) - 1;
         let mut v = value;
         let mut folded = 0u64;
-        while v != 0 {
+        for _ in 0..u64::BITS.div_ceil(bits) {
             folded ^= v & mask;
             v >>= bits;
         }

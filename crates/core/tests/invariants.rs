@@ -150,6 +150,29 @@ proptest! {
         }
     }
 
+    /// The fixed-trip `fold` equals the fold that loops until the value
+    /// runs out, at every legal width.
+    #[test]
+    fn fold_matches_value_driven_loop(
+        values in prop::collection::vec(any::<u64>(), 1..16),
+        shift in 0u32..64,
+    ) {
+        for bits in 1..=63u32 {
+            let mask = (1u64 << bits) - 1;
+            for &raw in &values {
+                // Shifting spreads the values over every magnitude.
+                let value = raw >> shift;
+                let mut v = value;
+                let mut expected = 0u64;
+                while v != 0 {
+                    expected ^= v & mask;
+                    v >>= bits;
+                }
+                prop_assert_eq!(HashFunction::fold(value, bits), expected, "width {}", bits);
+            }
+        }
+    }
+
     /// Storage accounting is strictly monotone in both table exponents.
     #[test]
     fn storage_monotone_in_table_sizes(l1 in 1u32..14, l2 in 2u32..14) {

@@ -8,8 +8,9 @@
 //! * [`simulate`] / [`simulate_trace`] — run one predictor over one trace.
 //! * [`stream`] — the single-pass streaming core: one trace decode feeds
 //!   many predictor lanes ([`stream_trace`], [`stream_v2_file`],
-//!   [`stream_v3_file`], [`stream_trace_file`], [`stream_suite_engine`]),
-//!   bit-identical to the reference loop and flat-memory on chunked files.
+//!   [`stream_v3_file`], [`stream_trace_file`]), sharded across threads
+//!   on files, bit-identical to the reference loop and flat-memory on
+//!   chunked files.
 //! * [`run_suite`] — fresh predictor per benchmark, weighted-mean accuracy.
 //! * [`sweep`] — evaluate a family of configurations over a suite.
 //! * [`engine`] — the parallel execution engine: a shared work queue of
@@ -75,10 +76,10 @@ pub use crate::fault::{FaultPlan, InjectedFault};
 pub use crate::pareto::{pareto_front, ParetoPoint};
 pub use crate::run::{simulate, simulate_n, simulate_trace, simulate_trace_observed, RunStats};
 pub use crate::stream::{
-    stream_records_with, stream_suite_engine, stream_trace, stream_trace_chunked,
-    stream_trace_file, stream_trace_file_observed, stream_v2_file, stream_v2_file_observed,
-    stream_v3_file, stream_v3_file_observed, SpecError, StreamFileReport, StreamPredictor,
-    StreamSuiteResult, SERIES_CLASS_LABELS, STREAM_CHUNK_RECORDS,
+    stream_records_with, stream_trace, stream_trace_chunked, stream_trace_file,
+    stream_trace_file_observed, stream_v2_file, stream_v2_file_observed, stream_v3_file,
+    stream_v3_file_observed, SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS,
+    STREAM_CHUNK_RECORDS,
 };
 pub use crate::suite::{run_suite, BenchmarkResult, SuiteResult};
 pub use crate::sweep::{sweep, sweep_parallel, SweepPoint};

@@ -17,13 +17,15 @@
 //!   auto-detects), decoding chunks on worker threads while the
 //!   (stateful) lanes consume them strictly in file order — bit-identical
 //!   to a serial run, any thread count.
+//! * **Lane shards.** Lanes share nothing but the records (the paper's §4
+//!   runs every predictor in isolation), so with more than one thread the
+//!   file paths split the lanes into contiguous, cost-balanced shards
+//!   that run in parallel, and hand every shard each decoded chunk as one
+//!   shared buffer. Every lane still sees every record in file order.
 //! * **Flat memory at any trace size.** The file paths never materialize
-//!   the trace: a bounded pipeline holds O(`decode_threads`) compressed
-//!   and decoded chunks at once, so a 100M-record v3 trace streams in a
+//!   the trace: a bounded pipeline holds O(`threads`) compressed and
+//!   decoded chunks at once, so a 100M-record v3 trace streams in a
 //!   working set of a few chunks.
-//! * **Suite fan-out.** [`stream_suite_engine`] runs one engine task per
-//!   benchmark (cold cloned lanes each), merging per-lane results in
-//!   benchmark order.
 //!
 //! Every path is differentially tested to be bit-identical to the
 //! predict-then-update reference loop (`tests/stream_equiv.rs`).
@@ -32,7 +34,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use dfcm::{
     AccessOutcome, AliasClass, DfcmPredictor, FcmPredictor, LastValuePredictor, StorageCost,
@@ -41,10 +43,8 @@ use dfcm::{
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_obs::Obs;
 use dfcm_trace::io::RawChunk;
-use dfcm_trace::suite::BenchmarkTrace;
 use dfcm_trace::{Trace, TraceFormatError, TraceRecord, V3RawChunk, V2_CHUNK_RECORDS};
 
-use crate::engine::{run_tasks, EngineConfig, EngineReport, TaskOutput};
 use crate::run::RunStats;
 
 /// One lane of the streaming pass: a concrete predictor behind enum
@@ -208,6 +208,19 @@ impl StreamPredictor {
     pub fn load_state_words(&mut self, words: &[u64]) -> Result<(), dfcm::ConfigError> {
         for_each_lane!(self, p => p.load_state_words(words))
     }
+
+    /// Relative per-record cost of this lane, the weight lane shards are
+    /// balanced by (from measured per-family lane throughput: a DFCM
+    /// access costs about three last-value accesses).
+    fn shard_cost(&self) -> u32 {
+        match self {
+            StreamPredictor::Lvp(_) => 1,
+            StreamPredictor::Stride(_) | StreamPredictor::TwoDelta(_) | StreamPredictor::Fcm(_) => {
+                2
+            }
+            StreamPredictor::Dfcm(_) => 3,
+        }
+    }
 }
 
 impl ValuePredictor for StreamPredictor {
@@ -290,11 +303,14 @@ pub fn stream_records_with<F>(
 where
     F: FnMut(usize, usize, AccessOutcome),
 {
-    let mut stats = vec![RunStats::default(); lanes.len()];
+    let block = RunStats {
+        predictions: records.len() as u64,
+        correct: 0,
+    };
+    let mut stats = vec![block; lanes.len()];
     for (ri, record) in records.iter().enumerate() {
         for (li, lane) in lanes.iter_mut().enumerate() {
             let outcome = lane.access(record.pc, record.value);
-            stats[li].predictions += 1;
             stats[li].correct += u64::from(outcome.correct);
             observe(li, ri, outcome);
         }
@@ -352,35 +368,61 @@ pub struct StreamFileReport {
 
 /// A chunk the streaming pipeline can ship to a decode worker: both the
 /// v2 and v3 raw-chunk types, which decode independently of their
-/// neighbours.
+/// neighbours, and already-decoded v1 record blocks.
 trait StreamChunk: Send {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>>;
+    fn decode_records(self) -> io::Result<Vec<TraceRecord>>;
 }
 
 impl StreamChunk for RawChunk {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>> {
+    fn decode_records(self) -> io::Result<Vec<TraceRecord>> {
         self.decode()
     }
 }
 
 impl StreamChunk for V3RawChunk {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>> {
+    fn decode_records(self) -> io::Result<Vec<TraceRecord>> {
         self.decode()
     }
 }
 
-/// Streams an on-disk `DFCMTRC2` trace through the lanes, decoding its
-/// chunks on `decode_threads` worker threads.
+/// An already-decoded record block: v1 files have no independently
+/// decodable chunks, so they load fully and stream in blocks of these.
+struct OwnedChunk(Vec<TraceRecord>);
+
+impl StreamChunk for OwnedChunk {
+    fn decode_records(self) -> io::Result<Vec<TraceRecord>> {
+        Ok(self.0)
+    }
+}
+
+/// A loaded v1 trace as [`STREAM_CHUNK_RECORDS`]-record blocks.
+fn v1_chunks(trace: &Trace) -> impl Iterator<Item = io::Result<OwnedChunk>> + Send + '_ {
+    trace
+        .chunks(STREAM_CHUNK_RECORDS)
+        .map(|c| Ok(OwnedChunk(c.to_vec())))
+}
+
+/// Streams an on-disk `DFCMTRC2` trace through the lanes on up to
+/// `threads` threads.
+///
+/// `threads` bounds both stages of the pass. It is the number of decode
+/// workers, and the most lane shards the lanes are split into: with
+/// `threads > 1`, contiguous runs of lanes, balanced by a fixed
+/// per-kind cost, run in parallel — the first on the calling thread,
+/// each other on a thread of its own. `0` or `1` decodes and runs every
+/// lane inline on the calling thread.
 ///
 /// The v2 format restarts its pc delta chain in every chunk, so chunks
 /// decode independently and in any order — but predictor lanes are
 /// stateful, so decoded chunks are *consumed* strictly in file order (a
-/// reorder buffer bridges the two). Per-chunk stats are merged in chunk
-/// order. The result is therefore bit-identical to a fully serial run
-/// regardless of `decode_threads`; `0` or `1` decodes inline.
+/// reorder buffer bridges the two), and every shard receives every chunk
+/// in that order. Each lane's per-chunk stats are merged in chunk order.
+/// The result — stats and lane state — is therefore bit-identical to a
+/// fully serial run regardless of `threads`.
 ///
 /// Memory stays flat at any trace size: the file is read one chunk at a
-/// time and at most O(`decode_threads`) chunks are in flight.
+/// time, at most O(`threads`) chunks are in flight, and the shards share
+/// each decoded chunk rather than copying it.
 ///
 /// # Errors
 ///
@@ -388,27 +430,23 @@ impl StreamChunk for V3RawChunk {
 /// ([`dfcm_trace::TraceFormatError`] wrapped in `InvalidData`). On a
 /// corrupt chunk the error reported is the lowest-indexed one, again
 /// independent of thread scheduling; the lanes will have consumed the
-/// intact chunks before it.
+/// intact chunks before it, and no chunk after it.
 pub fn stream_v2_file<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
 ) -> io::Result<StreamFileReport> {
-    stream_file_chunks(
-        dfcm_trace::V2ChunkReader::open(path)?,
-        lanes,
-        decode_threads,
-    )
+    stream_file_chunks(dfcm_trace::V2ChunkReader::open(path)?, lanes, threads)
 }
 
 /// Streams an on-disk compressed `DFCMTRC3` trace through the lanes,
-/// decompressing and decoding its chunks on `decode_threads` worker
-/// threads.
+/// decompressing and decoding its chunks on `threads` worker threads and
+/// running the lanes in up to `threads` shards.
 ///
 /// Same ordering and determinism contract as [`stream_v2_file`]: decoded
 /// chunks are consumed strictly in file order, so the result is
 /// bit-identical to a serial run — and to the v2 path over the same
-/// records — at any thread count. The working set is O(`decode_threads`)
+/// records — at any thread count. The working set is O(`threads`)
 /// chunks (compressed + decoded), independent of trace length, with each
 /// chunk's decode allocation capped by the v3 bomb guards.
 ///
@@ -420,13 +458,9 @@ pub fn stream_v2_file<P: AsRef<Path>>(
 pub fn stream_v3_file<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
 ) -> io::Result<StreamFileReport> {
-    stream_file_chunks(
-        dfcm_trace::V3ChunkReader::open(path)?,
-        lanes,
-        decode_threads,
-    )
+    stream_file_chunks(dfcm_trace::V3ChunkReader::open(path)?, lanes, threads)
 }
 
 /// Streams any trace file through the lanes, auto-detecting the format
@@ -434,6 +468,7 @@ pub fn stream_v3_file<P: AsRef<Path>>(
 /// [`stream_v2_file`]/[`stream_v3_file`]; the unchunked legacy v1 format
 /// is fully loaded and then streamed in [`STREAM_CHUNK_RECORDS`] chunks
 /// (v1 has no independently decodable chunks to bound memory with).
+/// `threads` means the same as for [`stream_v2_file`].
 ///
 /// # Errors
 ///
@@ -442,7 +477,7 @@ pub fn stream_v3_file<P: AsRef<Path>>(
 pub fn stream_trace_file<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
 ) -> io::Result<StreamFileReport> {
     let mut file = File::open(path)?;
     let mut magic = [0u8; 8];
@@ -450,43 +485,126 @@ pub fn stream_trace_file<P: AsRef<Path>>(
     file.seek(SeekFrom::Start(0))?;
     let reader = BufReader::new(file);
     match &magic {
-        b"DFCMTRC2" => stream_file_chunks(dfcm_trace::v2_chunks(reader)?, lanes, decode_threads),
-        b"DFCMTRC3" => stream_file_chunks(dfcm_trace::v3_chunks(reader)?, lanes, decode_threads),
+        b"DFCMTRC2" => stream_file_chunks(dfcm_trace::v2_chunks(reader)?, lanes, threads),
+        b"DFCMTRC3" => stream_file_chunks(dfcm_trace::v3_chunks(reader)?, lanes, threads),
         b"DFCMTRC1" => {
             let trace = Trace::read_from(reader)?;
-            let stats = stream_trace_chunked(lanes, &trace, STREAM_CHUNK_RECORDS);
-            Ok(StreamFileReport {
-                stats,
-                records: trace.len() as u64,
-                chunks: trace.len().div_ceil(STREAM_CHUNK_RECORDS),
-            })
+            stream_file_chunks(v1_chunks(&trace), lanes, threads)
         }
         _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
     }
 }
 
+/// Decoded chunks a spawned lane shard may have queued before the
+/// consuming thread blocks: one chunk of slack absorbs per-chunk load
+/// differences between shards. Shards share each chunk, so the shard
+/// stage holds at most this many plus two distinct chunks, however many
+/// shards there are.
+const SHARD_CHANNEL_DEPTH: usize = 1;
+
+/// Splits `lanes` into at most `threads` contiguous shards whose largest
+/// summed [`shard_cost`](StreamPredictor::shard_cost) is as small as a
+/// contiguous split allows. Fewer shards come back when more would not
+/// shorten the slowest one.
+fn lane_shards(lanes: &mut [StreamPredictor], threads: usize) -> Vec<&mut [StreamPredictor]> {
+    let costs: Vec<u32> = lanes.iter().map(StreamPredictor::shard_cost).collect();
+    // Greedy contiguous fill under `limit`, as shard lengths.
+    let fill = |limit: u32| {
+        let mut lens = Vec::new();
+        let (mut len, mut load) = (0usize, 0u32);
+        for &c in &costs {
+            if len > 0 && load + c > limit {
+                lens.push(len);
+                (len, load) = (0, 0);
+            }
+            len += 1;
+            load += c;
+        }
+        if len > 0 {
+            lens.push(len);
+        }
+        lens
+    };
+    let floor = costs.iter().copied().max().unwrap_or(0);
+    let total: u32 = costs.iter().sum();
+    let limit = (floor..=total)
+        .find(|&limit| fill(limit).len() <= threads.max(1))
+        .unwrap_or(total);
+    let mut shards = Vec::new();
+    let mut rest = lanes;
+    for len in fill(limit) {
+        let (shard, tail) = rest.split_at_mut(len);
+        shards.push(shard);
+        rest = tail;
+    }
+    shards
+}
+
 /// Drives a chunk iterator through the pipeline into the lanes, merging
-/// per-chunk stats in chunk order.
+/// each lane's per-chunk stats in chunk order.
+///
+/// The consuming thread runs the first lane shard itself. Every further
+/// shard runs [`stream_records_with`] on its own scoped thread over every
+/// decoded chunk, received in file order as one [`Arc`] all shards
+/// share; shard totals are concatenated back into lane order. With one
+/// shard (`threads <= 1`, or lanes too few or cheap to split) no shard
+/// thread exists and every lane runs inline.
 fn stream_file_chunks<C, I>(
     chunks: I,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
 ) -> io::Result<StreamFileReport>
 where
     C: StreamChunk,
     I: Iterator<Item = io::Result<C>> + Send,
 {
-    let mut totals = vec![RunStats::default(); lanes.len()];
-    let mut records = 0u64;
-    let chunk_count = stream_chunk_pipeline(chunks, decode_threads, |decoded| {
-        records += decoded.len() as u64;
-        let chunk_stats = stream_records_with(lanes, decoded, |_, _, _| {});
+    let fold = |lanes: &mut [StreamPredictor], totals: &mut [RunStats], records: &[TraceRecord]| {
+        let chunk_stats = stream_records_with(lanes, records, |_, _, _| {});
         for (total, part) in totals.iter_mut().zip(chunk_stats) {
             total.merge(part);
         }
+    };
+    let mut shards = lane_shards(lanes, threads).into_iter();
+    let first = shards.next().unwrap_or_default();
+    let mut records = 0u64;
+    let mut stats = vec![RunStats::default(); first.len()];
+    let chunk_count = std::thread::scope(|scope| {
+        let mut senders = Vec::new();
+        let mut workers = Vec::new();
+        for shard in shards {
+            let (tx, rx) = mpsc::sync_channel::<Arc<Vec<TraceRecord>>>(SHARD_CHANNEL_DEPTH);
+            senders.push(tx);
+            workers.push(scope.spawn(move || {
+                let mut totals = vec![RunStats::default(); shard.len()];
+                for chunk in rx {
+                    fold(shard, &mut totals, &chunk);
+                }
+                totals
+            }));
+        }
+        let result = stream_chunk_pipeline(chunks, threads, |decoded| {
+            records += decoded.len() as u64;
+            let shared = Arc::new(decoded);
+            for tx in &senders {
+                // A send error means the shard died; its panic surfaces
+                // at the join below.
+                let _ = tx.send(Arc::clone(&shared));
+            }
+            fold(first, &mut stats, &shared);
+        });
+        // Closing the channels lets every shard drain what it was sent —
+        // exactly the chunks before any failed one — and stop.
+        drop(senders);
+        for worker in workers {
+            match worker.join() {
+                Ok(totals) => stats.extend(totals),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        result
     })?;
     Ok(StreamFileReport {
-        stats: totals,
+        stats,
         records,
         chunks: chunk_count,
     })
@@ -553,6 +671,11 @@ fn record_lane_metrics(obs: &Obs, lane: &StreamPredictor, spec: &str, stats: Run
 /// index, occupancy is sampled at every chunk boundary, and the final
 /// per-lane aggregates are recorded under the lane's canonical spec.
 ///
+/// The observed pass keeps every lane on the consuming thread, record
+/// by record (the fold needs each record's outcomes lane-major), so here
+/// `threads` counts decode workers only; lane shards are the plain
+/// path's.
+///
 /// On hosts with more than one hardware thread the series fold runs on
 /// a dedicated thread, off the streaming consumer's critical path: the
 /// consumer records each outcome into a flat buffer (recycled between
@@ -562,11 +685,11 @@ fn record_lane_metrics(obs: &Obs, lane: &StreamPredictor, spec: &str, stats: Run
 /// consumer and the fold runs inline instead. Either way the fold
 /// consumes the outcome sequence strictly in file order — the same
 /// order the consumer produced it — so the exported series is
-/// bit-identical at any `decode_threads`, offloaded or not.
+/// bit-identical at any `threads`, offloaded or not.
 fn stream_file_chunks_observed<C, I>(
     chunks: I,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
     obs: &Obs,
     table_stats: bool,
 ) -> io::Result<StreamFileReport>
@@ -575,7 +698,7 @@ where
     I: Iterator<Item = io::Result<C>> + Send,
 {
     let offload = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    stream_file_chunks_observed_with(chunks, lanes, decode_threads, obs, table_stats, offload)
+    stream_file_chunks_observed_with(chunks, lanes, threads, obs, table_stats, offload)
 }
 
 /// [`stream_file_chunks_observed`] with the fold placement made explicit
@@ -583,7 +706,7 @@ where
 fn stream_file_chunks_observed_with<C, I>(
     chunks: I,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
     obs: &Obs,
     table_stats: bool,
     offload: bool,
@@ -593,7 +716,7 @@ where
     I: Iterator<Item = io::Result<C>> + Send,
 {
     if !obs.is_enabled() || lanes.is_empty() {
-        return stream_file_chunks(chunks, lanes, decode_threads);
+        return stream_file_chunks(chunks, lanes, threads);
     }
     if table_stats {
         for lane in lanes.iter_mut() {
@@ -648,11 +771,11 @@ where
                 }
                 series
             });
-            let result = stream_chunk_pipeline(chunks, decode_threads, |decoded| {
+            let result = stream_chunk_pipeline(chunks, threads, |decoded| {
                 let mut buf = recycle_rx.try_recv().unwrap_or_default();
                 buf.clear();
                 buf.reserve(decoded.len() * lane_count);
-                for record in decoded {
+                for record in &decoded {
                     for (li, lane) in lanes.iter_mut().enumerate() {
                         let outcome = lane.access(record.pc, record.value);
                         totals[li].predictions += 1;
@@ -677,7 +800,7 @@ where
         series = folded;
         chunk_result?
     } else {
-        stream_chunk_pipeline(chunks, decode_threads, |decoded| {
+        stream_chunk_pipeline(chunks, threads, |decoded| {
             for (ri, record) in decoded.iter().enumerate() {
                 for (li, lane) in lanes.iter_mut().enumerate() {
                     let outcome = lane.access(record.pc, record.value);
@@ -719,14 +842,14 @@ where
 pub fn stream_v2_file_observed<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
     obs: &Obs,
     table_stats: bool,
 ) -> io::Result<StreamFileReport> {
     stream_file_chunks_observed(
         dfcm_trace::V2ChunkReader::open(path)?,
         lanes,
-        decode_threads,
+        threads,
         obs,
         table_stats,
     )
@@ -742,14 +865,14 @@ pub fn stream_v2_file_observed<P: AsRef<Path>>(
 pub fn stream_v3_file_observed<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
     obs: &Obs,
     table_stats: bool,
 ) -> io::Result<StreamFileReport> {
     stream_file_chunks_observed(
         dfcm_trace::V3ChunkReader::open(path)?,
         lanes,
-        decode_threads,
+        threads,
         obs,
         table_stats,
     )
@@ -769,10 +892,11 @@ pub fn stream_v3_file_observed<P: AsRef<Path>>(
 /// gives the series its per-class breakdown). Without it the fold is
 /// cheaper and every access lands in the `unclassified` slot.
 ///
-/// Decoded chunks are consumed strictly in file order regardless of
-/// `decode_threads`, so the exported series is bit-identical at any
-/// thread count. With `obs` disabled this is exactly
-/// [`stream_trace_file`].
+/// With `obs` enabled, `threads` counts decode workers only: the lanes
+/// and the fold stay record-major on the consuming thread. Decoded
+/// chunks are consumed strictly in file order regardless of `threads`,
+/// so the exported series is bit-identical at any thread count. With
+/// `obs` disabled this is exactly [`stream_trace_file`].
 ///
 /// # Errors
 ///
@@ -780,12 +904,12 @@ pub fn stream_v3_file_observed<P: AsRef<Path>>(
 pub fn stream_trace_file_observed<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
-    decode_threads: usize,
+    threads: usize,
     obs: &Obs,
     table_stats: bool,
 ) -> io::Result<StreamFileReport> {
     if !obs.is_enabled() {
-        return stream_trace_file(path, lanes, decode_threads);
+        return stream_trace_file(path, lanes, threads);
     }
     let mut file = File::open(path)?;
     let mut magic = [0u8; 8];
@@ -796,50 +920,36 @@ pub fn stream_trace_file_observed<P: AsRef<Path>>(
         b"DFCMTRC2" => stream_file_chunks_observed(
             dfcm_trace::v2_chunks(reader)?,
             lanes,
-            decode_threads,
+            threads,
             obs,
             table_stats,
         ),
         b"DFCMTRC3" => stream_file_chunks_observed(
             dfcm_trace::v3_chunks(reader)?,
             lanes,
-            decode_threads,
+            threads,
             obs,
             table_stats,
         ),
         b"DFCMTRC1" => {
-            // v1 has no independently decodable chunks: load fully, then
-            // fold through the same observed chunk consumer.
             let trace = Trace::read_from(reader)?;
-            let chunks = trace
-                .chunks(STREAM_CHUNK_RECORDS)
-                .map(|c| Ok(OwnedChunk(c.to_vec())));
-            stream_file_chunks_observed(chunks, lanes, 0, obs, table_stats)
+            stream_file_chunks_observed(v1_chunks(&trace), lanes, 0, obs, table_stats)
         }
         _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
     }
 }
 
-/// An already-decoded record block, so the v1 path can reuse the
-/// observed chunk consumer.
-struct OwnedChunk(Vec<TraceRecord>);
-
-impl StreamChunk for OwnedChunk {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>> {
-        Ok(self.0.clone())
-    }
-}
-
 /// Pulls chunks off `chunks` (a single reader thread owns the
-/// underlying file), decodes them on `threads` workers, and hands the
-/// decoded records to `consume` strictly in index order. Returns the
-/// number of chunks consumed.
+/// underlying file), decodes them on `threads` workers, and hands each
+/// decoded chunk's records to `consume` strictly in index order. Returns
+/// the number of chunks consumed.
 ///
-/// Memory is bounded by construction: the raw and decoded channels are
-/// `sync_channel`s sized by the thread count, and the reorder buffer can
-/// only hold what the decoded channel lets past — so the working set is
-/// O(threads) chunks no matter how large the file is or how fast the
-/// reader outpaces the lanes.
+/// Memory is bounded by construction: the raw channels are
+/// `sync_channel`s sized by the thread count, each worker holds its
+/// decoded chunk until the consumer takes it (a rendezvous channel), and
+/// the reorder buffer can only hold what the workers let past — so the
+/// working set is O(threads) chunks no matter how large the file is or
+/// how fast the reader outpaces the lanes.
 ///
 /// The first error — a framing error from the iterator or the
 /// lowest-indexed decode failure — is returned; `consume` never sees
@@ -848,13 +958,13 @@ fn stream_chunk_pipeline<C, I, F>(chunks: I, threads: usize, mut consume: F) -> 
 where
     C: StreamChunk,
     I: Iterator<Item = io::Result<C>> + Send,
-    F: FnMut(&[TraceRecord]),
+    F: FnMut(Vec<TraceRecord>),
 {
     if threads <= 1 {
         // True single-chunk working set: read, decode, consume, drop.
         let mut count = 0usize;
         for chunk in chunks {
-            consume(&chunk?.decode_records()?);
+            consume(chunk?.decode_records()?);
             count += 1;
         }
         return Ok(count);
@@ -872,8 +982,11 @@ where
         raw_txs.push(tx);
         raw_rxs.push(rx);
     }
-    // Workers -> consumer: decoded chunks, bounded by the thread count.
-    let (dec_tx, dec_rx) = mpsc::sync_channel::<(usize, io::Result<Vec<TraceRecord>>)>(threads);
+    // Workers -> consumer: a rendezvous, so each worker holds at most its
+    // one finished chunk. Buffering more decoded chunks here buys no
+    // throughput (the consumer paces the pass) and only raises the
+    // working set.
+    let (dec_tx, dec_rx) = mpsc::sync_channel::<(usize, io::Result<Vec<TraceRecord>>)>(0);
 
     std::thread::scope(|scope| {
         // Move the receiver into the scope so it drops on *any* exit from
@@ -932,7 +1045,7 @@ where
                     Err(_) => break,
                 },
             };
-            consume(&entry?);
+            consume(entry?);
             want += 1;
         }
         debug_assert!(pending.is_empty());
@@ -941,63 +1054,6 @@ where
         // channel; workers dropping their raw receivers unblock the
         // reader; the scope then joins all of them.
     })
-}
-
-/// Per-lane results of a [`stream_suite_engine`] run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSuiteResult {
-    /// Lane names, in lane order.
-    pub lanes: Vec<String>,
-    /// Per-benchmark, per-lane statistics: `per_benchmark[b][l]` is lane
-    /// `l` on benchmark `b`, in input order.
-    pub per_benchmark: Vec<Vec<RunStats>>,
-    /// Per-lane totals over all benchmarks (merged in benchmark order) —
-    /// the record-weighted suite aggregate.
-    pub total: Vec<RunStats>,
-}
-
-/// Evaluates the lane set over a benchmark suite on the parallel engine:
-/// one task per benchmark, each streaming a *cold clone* of every lane
-/// over that benchmark's trace in a single pass.
-///
-/// Parallelism is across benchmarks (task grain), while each task keeps
-/// the single-decode multi-lane inner loop. Results merge per lane in
-/// benchmark order, so the outcome is deterministic for any thread count.
-///
-/// # Panics
-///
-/// Panics if a worker dies with the panic-isolation machinery disabled
-/// (see [`run_tasks`]).
-pub fn stream_suite_engine(
-    lanes: &[StreamPredictor],
-    traces: &[BenchmarkTrace],
-    config: &EngineConfig,
-) -> (StreamSuiteResult, EngineReport) {
-    let labels: Vec<String> = traces.iter().map(|t| t.name.to_owned()).collect();
-    let (per_benchmark, report) = run_tasks(
-        labels,
-        |i| {
-            let mut cold: Vec<StreamPredictor> = lanes.to_vec();
-            let stats = stream_trace(&mut cold, &traces[i].trace);
-            TaskOutput {
-                records: traces[i].trace.len() as u64 * lanes.len() as u64,
-                value: stats,
-            }
-        },
-        config,
-    );
-    let mut total = vec![RunStats::default(); lanes.len()];
-    for bench in &per_benchmark {
-        for (t, s) in total.iter_mut().zip(bench) {
-            t.merge(*s);
-        }
-    }
-    let result = StreamSuiteResult {
-        lanes: lanes.iter().map(|l| l.name()).collect(),
-        per_benchmark,
-        total,
-    };
-    (result, report)
 }
 
 /// The default chunk granularity for in-memory chunked streaming: the
@@ -1102,7 +1158,7 @@ mod tests {
         for threads in [0, 1, 2, 5] {
             let mut l = lanes();
             let report = stream_v2_file(&path, &mut l, threads).unwrap();
-            assert_eq!(report.stats, expected, "{threads} decode threads");
+            assert_eq!(report.stats, expected, "{threads} threads");
             assert_eq!(report.records, trace.len() as u64);
             assert_eq!(report.chunks, 3);
         }
@@ -1147,7 +1203,7 @@ mod tests {
         for threads in [0, 1, 2, 5] {
             let mut l = lanes();
             let report = stream_v3_file(&v3_path, &mut l, threads).unwrap();
-            assert_eq!(report.stats, expected, "{threads} decode threads");
+            assert_eq!(report.stats, expected, "{threads} threads");
             assert_eq!(report.records, trace.len() as u64);
             assert_eq!(report.chunks, 3);
             // The auto-detecting entry point takes the same path.
@@ -1398,28 +1454,5 @@ mod tests {
         assert_eq!(plain_report, report);
         assert!(disabled.series_snapshot().is_empty());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn suite_engine_matches_serial_suite() {
-        let traces = dfcm_trace::suite::standard_traces(7, 0.01);
-        let base = lanes();
-        let serial: Vec<Vec<RunStats>> = traces
-            .iter()
-            .map(|t| {
-                let mut cold = base.clone();
-                stream_trace(&mut cold, &t.trace)
-            })
-            .collect();
-        let config = EngineConfig {
-            threads: 3,
-            ..EngineConfig::default()
-        };
-        let (result, report) = stream_suite_engine(&base, &traces, &config);
-        assert_eq!(result.per_benchmark, serial);
-        assert_eq!(result.lanes.len(), base.len());
-        let records: u64 = traces.iter().map(|t| t.trace.len() as u64).sum();
-        assert!(result.total.iter().all(|s| s.predictions == records));
-        assert_eq!(report.tasks.len(), traces.len());
     }
 }

@@ -134,6 +134,154 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+/// Thread counts the file paths are pinned at: inline (0, 1), fewer
+/// threads than lanes, and more threads than lanes.
+const THREAD_COUNTS: [usize; 6] = [0, 1, 2, 3, 5, 17];
+
+/// Lane sets for the file-path tests: the five kinds, a single lane
+/// (never split), and a sweep mixing every shard cost.
+fn lane_sets() -> Vec<Vec<StreamPredictor>> {
+    let sweep = [
+        "lvp:8",
+        "lvp:10",
+        "stride:8",
+        "2delta:10",
+        "fcm:10:8",
+        "fcm:10:12",
+        "dfcm:10:8",
+        "dfcm:10:12",
+        "lvp:12",
+    ];
+    vec![
+        lanes(),
+        vec![DfcmPredictor::builder()
+            .l1_bits(10)
+            .l2_bits(12)
+            .build()
+            .unwrap()
+            .into()],
+        sweep
+            .iter()
+            .map(|s| StreamPredictor::parse_spec(s).unwrap())
+            .collect(),
+    ]
+}
+
+/// Every suite benchmark back to back: all pattern archetypes in one
+/// trace several on-disk chunks long.
+fn multi_chunk_suite_trace() -> Trace {
+    standard_traces(0x5EED, 0.02)
+        .iter()
+        .flat_map(|b| b.trace.records().iter().copied())
+        .collect()
+}
+
+fn state_of(lanes: &[StreamPredictor]) -> Vec<Vec<u64>> {
+    lanes.iter().map(StreamPredictor::state_words).collect()
+}
+
+#[test]
+fn file_paths_match_memory_in_stats_and_lane_state_at_any_thread_count() {
+    // Lane shards must leave every lane exactly where the in-memory
+    // pass leaves it — its full table state, not just its hit count.
+    use dfcm_sim::{stream_trace_file, stream_v2_file, stream_v3_file};
+    use dfcm_trace::{TraceFormat, V2_CHUNK_RECORDS};
+
+    let trace = multi_chunk_suite_trace();
+    let chunks = trace.len().div_ceil(V2_CHUNK_RECORDS);
+    assert!(chunks >= 3, "{} records", trace.len());
+    let dir = std::env::temp_dir().join("dfcm_stream_equiv_shards");
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = dir.join("suite.v1.trc");
+    let v2 = dir.join("suite.v2.trc");
+    let v3 = dir.join("suite.v3.trc");
+    trace.save_with(&v1, TraceFormat::V1).unwrap();
+    trace.save_with(&v2, TraceFormat::V2 { seed: 1 }).unwrap();
+    trace.save_with(&v3, TraceFormat::V3 { seed: 1 }).unwrap();
+    type FileFn = fn(
+        &std::path::Path,
+        &mut [StreamPredictor],
+        usize,
+    ) -> std::io::Result<dfcm_sim::StreamFileReport>;
+    let paths: [(&str, FileFn, &std::path::Path); 3] = [
+        ("stream_v2_file", |p, l, t| stream_v2_file(p, l, t), &v2),
+        ("stream_v3_file", |p, l, t| stream_v3_file(p, l, t), &v3),
+        (
+            "stream_trace_file(v1)",
+            |p, l, t| stream_trace_file(p, l, t),
+            &v1,
+        ),
+    ];
+
+    for base in lane_sets() {
+        let mut memory = base.clone();
+        let expected = stream_trace(&mut memory, &trace);
+        let expected_state = state_of(&memory);
+        for (name, stream, path) in &paths {
+            for threads in THREAD_COUNTS {
+                let mut streamed = base.clone();
+                let report = stream(path, &mut streamed, threads).unwrap();
+                let at = format!("{name}, {} lanes, {threads} threads", base.len());
+                assert_eq!(report.stats, expected, "{at}: stats");
+                assert_eq!(report.records, trace.len() as u64, "{at}");
+                assert_eq!(report.chunks, chunks, "{at}");
+                assert!(state_of(&streamed) == expected_state, "{at}: lane state");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_middle_chunk_names_lowest_bad_chunk_and_keeps_intact_prefix() {
+    use dfcm_sim::stream_v3_file;
+    use dfcm_trace::{v3_chunks, TraceFormat, TraceFormatError, V3_CHUNK_RECORDS};
+
+    let trace = multi_chunk_suite_trace();
+    let mut bytes = Vec::new();
+    trace
+        .write_with(&mut bytes, TraceFormat::V3 { seed: 2 })
+        .unwrap();
+    let chunks: Vec<_> = v3_chunks(bytes.as_slice())
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert!(chunks.len() >= 4, "{} chunks", chunks.len());
+    // Flip a byte inside the payloads of chunks 1 and 2, so chunk 1 is
+    // the lowest-indexed bad chunk and chunk 0 the intact prefix.
+    for chunk in &chunks[1..3] {
+        let probe = &chunk.payload[..64];
+        let at = bytes
+            .windows(probe.len())
+            .position(|w| w == probe)
+            .expect("payload in file");
+        bytes[at + chunk.payload.len() / 2] ^= 0x10;
+    }
+    let path = std::env::temp_dir().join("dfcm_stream_equiv_corrupt_middle.v3.trc");
+    dfcm_trace::atomic_write(&path, &bytes).unwrap();
+
+    let prefix: Trace = trace.records()[..V3_CHUNK_RECORDS]
+        .iter()
+        .copied()
+        .collect();
+    for base in lane_sets() {
+        let mut memory = base.clone();
+        stream_trace(&mut memory, &prefix);
+        let expected_state = state_of(&memory);
+        for threads in THREAD_COUNTS {
+            let mut streamed = base.clone();
+            let err = stream_v3_file(&path, &mut streamed, threads).unwrap_err();
+            let at = format!("{} lanes, {threads} threads", base.len());
+            match TraceFormatError::classify(&err) {
+                Some(TraceFormatError::ChunkCrcMismatch { chunk: 1, .. }) => {}
+                other => panic!("{at}: expected chunk 1's CRC mismatch, got {other:?}"),
+            }
+            assert!(state_of(&streamed) == expected_state, "{at}: lane state");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A generated trace: bounded pc/value alphabets keep collisions (the
 /// interesting case for table-indexed predictors) frequent.
 fn arb_trace() -> impl Strategy<Value = Trace> {

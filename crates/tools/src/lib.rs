@@ -294,7 +294,7 @@ pub fn eval_streaming(
         .iter()
         .map(|s| stream_predictor_for(s))
         .collect::<Result<Vec<StreamPredictor>, ToolError>>()?;
-    let decode_threads = if engine.threads == 0 {
+    let threads = if engine.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         engine.threads
@@ -308,7 +308,7 @@ pub fn eval_streaming(
             // (eval_accuracy, table/alias counters, phase series) and
             // falls back to the plain streaming pass when obs is off.
             let file_report =
-                stream_trace_file_observed(path, &mut lanes, decode_threads, &engine.obs, true)
+                stream_trace_file_observed(path, &mut lanes, threads, &engine.obs, true)
                     // Corruption won't heal on retry; read hiccups might.
                     .map_err(|e| match e.kind() {
                         std::io::ErrorKind::InvalidData => {
@@ -1564,7 +1564,12 @@ fn trend_metrics(doc: &dfcm_obs::json::Json) -> Result<Vec<TrendMetric>, String>
                 if let Some(v) = agg.get("v3_bits_record").and_then(|v| v.as_f64()) {
                     metrics.push(("aggregate.v3_bits_record".into(), v, false));
                 }
-                for key in ["v2_stream_pred_s", "v3_stream_pred_s"] {
+                for key in [
+                    "decode_mb_s",
+                    "v2_stream_pred_s",
+                    "v3_stream_pred_s",
+                    "stream_ratio",
+                ] {
                     if let Some(v) = agg.get(key).and_then(|v| v.as_f64()) {
                         metrics.push((format!("aggregate.{key}"), v, true));
                     }

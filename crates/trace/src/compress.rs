@@ -230,12 +230,16 @@ fn lz_decode(mut tokens: &[u8], declared_len: usize) -> io::Result<Vec<u8>> {
             if out.len() + len > declared_len {
                 return Err(invalid("output exceeds declared length"));
             }
-            // Matches may overlap their own output (offset < len), so
+            // Matches may overlap their own output (offset < len); those
             // copy byte-wise from the back of `out`.
             let start = out.len() - offset;
-            for k in 0..len {
-                let byte = out[start + k];
-                out.push(byte);
+            if offset >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                for k in 0..len {
+                    let byte = out[start + k];
+                    out.push(byte);
+                }
             }
         }
     }
@@ -400,15 +404,16 @@ fn huffman_compress(tokens: &[u8]) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Canonical-Huffman decoder state built from the stored length table.
+/// Table-driven canonical-Huffman decoder built from the stored length
+/// table: indexed by the next `width` bits of the stream (MSB-first), so
+/// one lookup decodes one symbol.
 struct HuffmanTable {
-    /// Per length 1..=15: count of codes and the first canonical code.
-    count: [u32; 16],
-    first_code: [u32; 16],
-    /// Index into `symbols` of the first code of each length.
-    first_index: [u32; 16],
-    /// Symbols sorted by (length, value).
-    symbols: Vec<u8>,
+    /// Longest code length present, in bits; the table has
+    /// `1 << width` entries (at most 2^15).
+    width: u32,
+    /// Per `width`-bit prefix: the symbol whose code starts it in the low
+    /// byte, that code's length above it; 0 when no code matches.
+    entries: Vec<u16>,
 }
 
 impl HuffmanTable {
@@ -419,92 +424,82 @@ impl HuffmanTable {
                 count[usize::from(l)] += 1;
             }
         }
-        let mut symbols = Vec::with_capacity(count.iter().sum::<u32>() as usize);
-        for len in 1..=MAX_CODE_BITS as usize {
-            for (s, &l) in lengths.iter().enumerate() {
-                if usize::from(l) == len {
-                    symbols.push(s as u8);
-                }
-            }
-        }
-        if symbols.is_empty() {
+        let Some(width) = (1..=MAX_CODE_BITS).rev().find(|&l| count[l as usize] > 0) else {
             return Err(invalid("huffman table has no symbols"));
-        }
+        };
         // Reject oversubscribed tables (more codes than the tree has
         // room for); undersubscribed tables are allowed, their unused
         // codes simply decode to an error if they appear.
-        let mut first_code = [0u32; 16];
-        let mut first_index = [0u32; 16];
+        let mut next_code = [0u32; 16];
         let mut code = 0u32;
-        let mut index = 0u32;
         for len in 1..=MAX_CODE_BITS as usize {
-            first_code[len] = code;
-            first_index[len] = index;
-            code = code
-                .checked_add(count[len])
-                .ok_or_else(|| invalid("huffman table overflows"))?;
-            index += count[len];
+            next_code[len] = code;
+            code += count[len];
             if code > 1 << len {
                 return Err(invalid("oversubscribed huffman table"));
             }
             code <<= 1;
         }
-        Ok(HuffmanTable {
-            count,
-            first_code,
-            first_index,
-            symbols,
-        })
-    }
-}
-
-struct BitReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    acc: u64,
-    bits: u32,
-}
-
-impl BitReader<'_> {
-    #[inline]
-    fn next_bit(&mut self) -> io::Result<u32> {
-        if self.bits == 0 {
-            if self.pos >= self.data.len() {
-                return Err(invalid("huffman bitstream exhausted"));
+        // Canonical assignment: within a length, codes ascend with the
+        // symbol value. Each code owns every prefix it starts.
+        let mut entries = vec![0u16; 1 << width];
+        for (symbol, &len) in lengths.iter().enumerate() {
+            if len == 0 {
+                continue;
             }
-            self.acc = u64::from(self.data[self.pos]);
-            self.pos += 1;
-            self.bits = 8;
+            let len = u32::from(len);
+            let code = next_code[len as usize];
+            next_code[len as usize] += 1;
+            let shift = width - len;
+            let start = (code << shift) as usize;
+            entries[start..start + (1 << shift)].fill(symbol as u16 | (len as u16) << 8);
         }
-        self.bits -= 1;
-        Ok(((self.acc >> self.bits) & 1) as u32)
+        Ok(HuffmanTable { width, entries })
     }
 }
 
 /// Decodes exactly `lz_len` symbols from the Huffman bitstream.
+///
+/// Past the end of `data` the lookup window is zero-padded; a symbol
+/// whose code runs into the padding — or an unmatched prefix with fewer
+/// than [`MAX_CODE_BITS`] real bits left — is an exhausted stream,
+/// exactly where a bit-at-a-time decoder would have run dry.
 fn huffman_decode(table: &HuffmanTable, data: &[u8], lz_len: usize) -> io::Result<Vec<u8>> {
     let mut out = Vec::with_capacity(lz_len);
-    let mut br = BitReader {
-        data,
-        pos: 0,
-        acc: 0,
-        bits: 0,
-    };
+    let width = table.width;
+    let mask = (1u64 << width) - 1;
+    // The low `have` bits of `acc` are the unread bits, oldest highest.
+    let mut acc = 0u64;
+    let mut have = 0u32;
+    let mut pos = 0usize;
     for _ in 0..lz_len {
-        let mut code = 0u32;
-        let mut decoded = false;
-        for len in 1..=MAX_CODE_BITS as usize {
-            code = (code << 1) | br.next_bit()?;
-            let offset = code.wrapping_sub(table.first_code[len]);
-            if offset < table.count[len] {
-                out.push(table.symbols[(table.first_index[len] + offset) as usize]);
-                decoded = true;
-                break;
+        if have < width {
+            while have <= 56 && pos < data.len() {
+                acc = (acc << 8) | u64::from(data[pos]);
+                pos += 1;
+                have += 8;
             }
         }
-        if !decoded {
-            return Err(invalid("invalid huffman code"));
+        let window = if have >= width {
+            acc >> (have - width)
+        } else {
+            acc << (width - have)
+        } & mask;
+        let entry = table.entries[window as usize];
+        let len = u32::from(entry >> 8);
+        if len == 0 {
+            let left = u64::from(have) + 8 * (data.len() - pos) as u64;
+            return Err(if left < u64::from(MAX_CODE_BITS) {
+                invalid("huffman bitstream exhausted")
+            } else {
+                invalid("invalid huffman code")
+            });
         }
+        if len > have {
+            return Err(invalid("huffman bitstream exhausted"));
+        }
+        have -= len;
+        out.push(entry as u8);
     }
     Ok(out)
 }
@@ -703,6 +698,153 @@ mod tests {
             // errors; must never panic or over-allocate.
             if let Ok(out) = decompress(&bad, data.len()) {
                 assert_eq!(out.len(), data.len());
+            }
+        }
+    }
+
+    /// The bit-at-a-time canonical decoder the table decoder replaced,
+    /// kept as the reference it must agree with.
+    fn reference_decode(lengths: &[u8; 256], data: &[u8], lz_len: usize) -> io::Result<Vec<u8>> {
+        let mut count = [0u32; 16];
+        for &l in lengths.iter().filter(|&&l| l > 0) {
+            count[usize::from(l)] += 1;
+        }
+        let mut symbols = Vec::new();
+        for len in 1..=MAX_CODE_BITS as usize {
+            symbols.extend(
+                (0..256)
+                    .filter(|&s| usize::from(lengths[s]) == len)
+                    .map(|s| s as u8),
+            );
+        }
+        if symbols.is_empty() {
+            return Err(invalid("huffman table has no symbols"));
+        }
+        let mut first_code = [0u32; 16];
+        let mut first_index = [0u32; 16];
+        let (mut code, mut index) = (0u32, 0u32);
+        for len in 1..=MAX_CODE_BITS as usize {
+            first_code[len] = code;
+            first_index[len] = index;
+            code += count[len];
+            index += count[len];
+            if code > 1 << len {
+                return Err(invalid("oversubscribed huffman table"));
+            }
+            code <<= 1;
+        }
+        let mut bits = data
+            .iter()
+            .flat_map(|&b| (0..8).rev().map(move |i| u32::from(b >> i) & 1));
+        let mut out = Vec::new();
+        for _ in 0..lz_len {
+            let mut code = 0u32;
+            let mut decoded = false;
+            for len in 1..=MAX_CODE_BITS as usize {
+                let bit = bits
+                    .next()
+                    .ok_or_else(|| invalid("huffman bitstream exhausted"))?;
+                code = (code << 1) | bit;
+                let offset = code.wrapping_sub(first_code[len]);
+                if offset < count[len] {
+                    out.push(symbols[(first_index[len] + offset) as usize]);
+                    decoded = true;
+                    break;
+                }
+            }
+            if !decoded {
+                return Err(invalid("invalid huffman code"));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Table decode through the production path, errors as strings.
+    fn table_decode(lengths: &[u8; 256], data: &[u8], lz_len: usize) -> Result<Vec<u8>, String> {
+        HuffmanTable::from_lengths(lengths)
+            .and_then(|table| huffman_decode(&table, data, lz_len))
+            .map_err(|e| e.to_string())
+    }
+
+    fn assert_decoders_agree(lengths: &[u8; 256], data: &[u8], lz_len: usize) {
+        let reference = reference_decode(lengths, data, lz_len).map_err(|e| e.to_string());
+        assert_eq!(
+            table_decode(lengths, data, lz_len),
+            reference,
+            "{} bytes, {lz_len} symbols",
+            data.len()
+        );
+    }
+
+    /// Random code lengths: every other table is the encoder's own
+    /// (complete) code for random frequencies; the rest put a random
+    /// subset of symbols at random lengths, so tables also come out
+    /// undersubscribed and oversubscribed.
+    fn random_lengths(rng: &mut SplitMix64) -> [u8; 256] {
+        if rng.next_u64().is_multiple_of(2) {
+            let mut freq = [0u64; 256];
+            for _ in 0..1 + rng.next_u64() % 60 {
+                freq[(rng.next_u64() % 256) as usize] += 1 << (rng.next_u64() % 20);
+            }
+            return code_lengths(&freq);
+        }
+        let mut lengths = [0u8; 256];
+        let used = 1 + rng.next_u64() % 40;
+        let max = 1 + rng.next_u64() % u64::from(MAX_CODE_BITS);
+        for _ in 0..used {
+            lengths[(rng.next_u64() % 256) as usize] = (1 + rng.next_u64() % max) as u8;
+        }
+        lengths
+    }
+
+    #[test]
+    fn table_decoder_matches_bit_serial_reference_on_random_streams() {
+        let mut rng = SplitMix64::new(0x7AB1E);
+        for _ in 0..3000 {
+            let lengths = random_lengths(&mut rng);
+            let data: Vec<u8> = (0..rng.next_u64() % 64)
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let lz_len = (rng.next_u64() % 96) as usize;
+            assert_decoders_agree(&lengths, &data, lz_len);
+        }
+    }
+
+    #[test]
+    fn table_decoder_matches_reference_on_real_truncated_and_corrupted_streams() {
+        let mut rng = SplitMix64::new(11);
+        // Low-entropy bytes LZ cannot shrink much: the Huffman stage pays.
+        let skewed: Vec<u8> = (0..20_000)
+            .map(|_| (rng.next_u64() % 13) as u8 * 19)
+            .collect();
+        let inputs = [
+            skewed,
+            (0..20_000u32).flat_map(|i| (i / 5).to_le_bytes()).collect(),
+        ];
+        for input in &inputs {
+            let tokens = lz_compress(input);
+            let encoded = huffman_compress(&tokens).expect("compressible");
+            let mut r = &encoded[..];
+            let lz_len = read_varint(&mut r).unwrap() as usize;
+            let mut lengths = [0u8; 256];
+            for (i, &b) in r[..128].iter().enumerate() {
+                lengths[2 * i] = b & 0x0F;
+                lengths[2 * i + 1] = b >> 4;
+            }
+            let bits = &r[128..];
+            assert_eq!(table_decode(&lengths, bits, lz_len).unwrap(), tokens);
+            assert_decoders_agree(&lengths, bits, lz_len);
+            for cut in [0, 1, bits.len() / 3, bits.len() - 1] {
+                assert_decoders_agree(&lengths, &bits[..cut], lz_len);
+            }
+            for _ in 0..200 {
+                let mut bad = bits.to_vec();
+                let at = (rng.next_u64() as usize) % bad.len();
+                bad[at] ^= 1 << (rng.next_u64() % 8);
+                assert_decoders_agree(&lengths, &bad, lz_len);
+                let mut bad_lengths = lengths;
+                bad_lengths[(rng.next_u64() % 256) as usize] = (rng.next_u64() % 16) as u8;
+                assert_decoders_agree(&bad_lengths, bits, lz_len);
             }
         }
     }

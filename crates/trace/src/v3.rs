@@ -243,7 +243,8 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         return Err(format!("unknown value-stream mode {mode}"));
     }
 
-    // Pc dictionary: gap-coded, at most one entry per record.
+    // Pc dictionary: gap-coded, strictly increasing, at most one entry
+    // per record.
     let dict_len = read_varint(&mut rest).map_err(|e| format!("dictionary length: {e}"))?;
     if dict_len > records {
         return Err(format!(
@@ -256,6 +257,8 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         let gap = read_varint(&mut rest).map_err(|e| format!("dictionary entry {i}: {e}"))?;
         let pc = if i == 0 {
             gap
+        } else if gap == 0 {
+            return Err(format!("dictionary entry {i} repeats the previous pc"));
         } else {
             prev.checked_add(gap)
                 .ok_or_else(|| format!("dictionary entry {i} overflows"))?
@@ -263,21 +266,23 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         dict.push(pc);
         prev = pc;
     }
-    // The frequency permutation: pc_by_rank[rank of sorted entry i] =
-    // dict[i]. Every rank must be in range and hit exactly once.
-    let mut pc_by_rank: Vec<Option<u64>> = vec![None; dict_len as usize];
-    for (i, &pc) in dict.iter().enumerate() {
+    // The frequency permutation: entry_by_rank[rank of sorted entry i] =
+    // i. Every rank must be in range and hit exactly once.
+    let mut entry_by_rank: Vec<u32> = vec![u32::MAX; dict_len as usize];
+    for i in 0..dict.len() {
         let r = read_varint(&mut rest).map_err(|e| format!("dictionary rank {i}: {e}"))?;
-        let slot = pc_by_rank
+        let slot = entry_by_rank
             .get_mut(r as usize)
             .ok_or_else(|| format!("dictionary rank {r} outside {dict_len} entries"))?;
-        if slot.replace(pc).is_some() {
+        if *slot != u32::MAX {
             return Err(format!("dictionary rank {r} assigned twice"));
         }
+        *slot = i as u32;
     }
-    let dict: Vec<u64> = pc_by_rank.into_iter().flatten().collect();
 
-    // Pc stream: one symbol per record.
+    // Pc stream: one symbol per record. Each record remembers its value
+    // bucket — buckets are numbered by each pc's first appearance,
+    // mirroring the encoder — so the value pass needs no lookups.
     let pc_len = read_varint(&mut rest).map_err(|e| format!("pc stream length: {e}"))?;
     if pc_len > rest.len() as u64 {
         return Err(format!(
@@ -286,19 +291,40 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         ));
     }
     let (mut pcs, mut values) = rest.split_at(pc_len as usize);
-    let mut pc_seq: Vec<u64> = Vec::with_capacity(records as usize);
+    let mut out: Vec<TraceRecord> = Vec::with_capacity(records as usize);
+    let mut bucket_ids: Vec<u32> = Vec::with_capacity(records as usize);
+    let mut bucket_of_entry: Vec<u32> = vec![u32::MAX; dict.len()];
+    let mut counts: Vec<usize> = Vec::new();
+    let mut prev_entry = usize::MAX;
     let mut prev_pc = 0u64;
     for _ in 0..records {
         let symbol = read_varint(&mut pcs).map_err(|e| format!("pc stream: {e}"))?;
-        let pc = if symbol == 0 {
-            prev_pc.wrapping_add(PC_STEP)
+        let entry = if symbol == 0 {
+            // In-block successor: usually the next dictionary entry.
+            let pc = prev_pc.wrapping_add(PC_STEP);
+            match dict.get(prev_entry.wrapping_add(1)) {
+                Some(&next) if next == pc => prev_entry + 1,
+                _ => dict.binary_search(&pc).map_err(|_| {
+                    format!("pc {pc:#x} after {prev_pc:#x} is not in the chunk dictionary")
+                })?,
+            }
         } else {
-            *dict
-                .get(symbol as usize - 1)
+            let rank = usize::try_from(symbol - 1).unwrap_or(usize::MAX);
+            *entry_by_rank
+                .get(rank)
                 .ok_or_else(|| format!("pc symbol {symbol} outside {dict_len}-entry dictionary"))?
+                as usize
         };
-        pc_seq.push(pc);
-        prev_pc = pc;
+        let bucket = &mut bucket_of_entry[entry];
+        if *bucket == u32::MAX {
+            *bucket = counts.len() as u32;
+            counts.push(0);
+        }
+        counts[*bucket as usize] += 1;
+        bucket_ids.push(*bucket);
+        prev_entry = entry;
+        prev_pc = dict[entry];
+        out.push(TraceRecord::new(prev_pc, 0));
     }
     if !pcs.is_empty() {
         return Err(format!(
@@ -307,22 +333,12 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         ));
     }
 
-    // Bucket sizes in first-appearance order, mirroring the encoder.
-    let mut bucket_of: HashMap<u64, usize> = HashMap::new();
-    let mut counts: Vec<usize> = Vec::new();
-    for &pc in &pc_seq {
-        let b = *bucket_of.entry(pc).or_insert_with(|| {
-            counts.push(0);
-            counts.len() - 1
-        });
-        counts[b] += 1;
-    }
-
-    // Value stream: decode each bucket, then deal values back out in
-    // pc-sequence order.
-    let mut buckets: Vec<Vec<u64>> = Vec::with_capacity(counts.len());
+    // Value stream: decode every bucket into one flat array, then deal
+    // the values back out in record order.
+    let mut flat: Vec<u64> = Vec::with_capacity(records as usize);
+    let mut cursor: Vec<usize> = Vec::with_capacity(counts.len());
     for (b, &count) in counts.iter().enumerate() {
-        let mut bucket = Vec::with_capacity(count);
+        cursor.push(flat.len());
         let mut prev = 0i64;
         for _ in 0..count {
             let field = read_varint(&mut values).map_err(|e| format!("value bucket {b}: {e}"))?;
@@ -330,10 +346,9 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
                 MODE_BUCKET_DELTA => prev.wrapping_add(unzigzag(field)),
                 _ => field as i64,
             };
-            bucket.push(value as u64);
+            flat.push(value as u64);
             prev = value;
         }
-        buckets.push(bucket);
     }
     if !values.is_empty() {
         return Err(format!(
@@ -341,13 +356,10 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
             values.len()
         ));
     }
-    let mut cursor = vec![0usize; buckets.len()];
-    let mut out = Vec::with_capacity(records as usize);
-    for &pc in &pc_seq {
-        let b = bucket_of[&pc];
-        let value = buckets[b][cursor[b]];
-        cursor[b] += 1;
-        out.push(TraceRecord::new(pc, value));
+    for (record, &b) in out.iter_mut().zip(&bucket_ids) {
+        let at = &mut cursor[b as usize];
+        record.value = flat[*at];
+        *at += 1;
     }
     Ok(out)
 }
@@ -958,6 +970,32 @@ mod tests {
         let packed = pack_records(trace.records());
         let restored = unpack_records(&packed, 4).unwrap();
         assert_eq!(restored, trace.records());
+    }
+
+    #[test]
+    fn pack_roundtrips_successors_that_skip_dictionary_entries() {
+        // pc 8 follows pc 4 as its in-block successor (symbol 0) while
+        // unaligned pcs sit between them in the sorted dictionary.
+        let trace: Trace = [0u64, 4, 5, 6, 4, 8, 6, 10, 0, 4]
+            .iter()
+            .enumerate()
+            .map(|(i, &pc)| TraceRecord::new(pc, i as u64 * 3))
+            .collect();
+        let packed = pack_records(trace.records());
+        assert_eq!(unpack_records(&packed, 10).unwrap(), trace.records());
+    }
+
+    #[test]
+    fn unpack_rejects_pcs_outside_a_strict_dictionary() {
+        // mode, 1 entry (pc 0x10, rank 0), pc stream [jump to rank 0,
+        // successor 0x14 — not in the dictionary], two values.
+        let outside = [MODE_RAW, 1, 0x10, 0, 2, 1, 0, 5, 6];
+        let err = unpack_records(&outside, 2).unwrap_err();
+        assert!(err.contains("not in the chunk dictionary"), "{err}");
+        // A zero gap would list the same pc twice.
+        let repeated = [MODE_RAW, 2, 0x10, 0, 0, 1, 2, 1, 2, 5, 6];
+        let err = unpack_records(&repeated, 2).unwrap_err();
+        assert!(err.contains("repeats the previous pc"), "{err}");
     }
 
     #[test]
