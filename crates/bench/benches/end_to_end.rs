@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dfcm::DfcmPredictor;
 use dfcm_bench::fixture_trace;
-use dfcm_sim::{run_suite, simulate_trace};
+use dfcm_sim::{run_suite_engine, simulate_trace, EngineConfig};
 use dfcm_trace::suite::standard_traces;
 use dfcm_trace::TraceSource;
 use dfcm_vm::{assemble, programs, Vm};
@@ -29,8 +29,9 @@ fn bench_generation(c: &mut Criterion) {
 
     group.bench_function("suite_run_dfcm_scale_0.01", |b| {
         let traces = standard_traces(1, 0.01);
+        let engine = EngineConfig::threads(1);
         b.iter(|| {
-            black_box(run_suite(
+            black_box(run_suite_engine(
                 || {
                     DfcmPredictor::builder()
                         .l1_bits(14)
@@ -39,6 +40,7 @@ fn bench_generation(c: &mut Criterion) {
                         .unwrap()
                 },
                 &traces,
+                &engine,
             ))
         })
     });

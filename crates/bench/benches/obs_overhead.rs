@@ -1,17 +1,18 @@
 //! Observability overhead: the engine sweep with the obs handle
-//! disabled (the default), enabled, and the serial reference. The
-//! disabled case must stay within noise of a build that predates the
-//! obs hooks — the handle is an `Option<Arc>` checked once per task
-//! attempt, so an obs-free run costs one branch. The enabled case
-//! prices the spans, per-task histogram updates and table trackers,
-//! which is worth knowing before shipping `--obs` into a large sweep.
+//! disabled (the default) and enabled, at 1, 2 and 4 workers; the
+//! 1-worker disabled row is the baseline. The disabled case must stay
+//! within noise of a build that predates the obs hooks — the handle is
+//! an `Option<Arc>` checked once per task attempt, so an obs-free run
+//! costs one branch. The enabled case prices the spans, per-task
+//! histogram updates and table trackers, which is worth knowing before
+//! shipping `--obs` into a large sweep.
 //!
 //! The `obs_stream_overhead` group prices the windowed phase-series +
 //! top-K fold on the streaming core: `stream_off` is the plain
-//! single-pass path (the observed entry point short-circuits to it when
-//! obs is disabled, so it must match `stream_v2_file` within noise),
-//! `stream_series` adds the per-record window/top-K fold, and
-//! `stream_series_classified` additionally runs the aliasing taxonomy.
+//! single-pass path (with obs disabled the observed entry point is
+//! exactly `stream_trace_file`), `stream_series` adds the per-record
+//! window/top-K fold, and `stream_series_classified` additionally runs
+//! the aliasing taxonomy.
 //!
 //! Fold placement decides what `stream_series` costs. On hosts with
 //! more than one hardware thread the fold runs on a dedicated thread
@@ -30,7 +31,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dfcm::DfcmPredictor;
 use dfcm_obs::Obs;
-use dfcm_sim::{stream_v2_file_observed, sweep, sweep_engine, EngineConfig, StreamPredictor};
+use dfcm_sim::{stream_trace_file_observed, sweep_engine, EngineConfig, StreamPredictor};
 use dfcm_trace::suite::standard_traces;
 use dfcm_trace::{Trace, TraceFormat};
 use std::hint::black_box;
@@ -49,9 +50,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("obs_overhead");
     group.throughput(Throughput::Elements(records * configs.len() as u64));
-    group.bench_function("serial_sweep", |b| {
-        b.iter(|| black_box(sweep(&configs, factory, &traces)))
-    });
     for threads in [1usize, 2, 4] {
         group.bench_function(BenchmarkId::new("engine_obs_off", threads), |b| {
             let engine = EngineConfig::threads(threads);
@@ -97,7 +95,7 @@ fn bench_stream_series_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut lanes = lanes();
             black_box(
-                stream_v2_file_observed(&path, &mut lanes, 1, &Obs::disabled(), false)
+                stream_trace_file_observed(&path, &mut lanes, 1, &Obs::disabled(), false)
                     .expect("stream"),
             )
         })
@@ -108,7 +106,7 @@ fn bench_stream_series_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut lanes = lanes();
             black_box(
-                stream_v2_file_observed(&path, &mut lanes, 1, &Obs::enabled(), false)
+                stream_trace_file_observed(&path, &mut lanes, 1, &Obs::enabled(), false)
                     .expect("stream"),
             )
         })
@@ -119,7 +117,7 @@ fn bench_stream_series_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut lanes = lanes();
             black_box(
-                stream_v2_file_observed(&path, &mut lanes, 1, &Obs::enabled(), true)
+                stream_trace_file_observed(&path, &mut lanes, 1, &Obs::enabled(), true)
                     .expect("stream"),
             )
         })

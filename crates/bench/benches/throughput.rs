@@ -135,7 +135,8 @@ fn dyn_pass(p: &mut Box<dyn ValuePredictor>, trace: &Trace) -> u64 {
     correct
 }
 
-/// A dyn suite walk: fresh predictor per benchmark, like `run_suite`.
+/// A dyn suite walk: fresh predictor per benchmark, like the engine's
+/// suite tasks.
 fn dyn_suite(lane: &StreamPredictor, suite: &[BenchmarkTrace]) -> u64 {
     let mut correct = 0u64;
     for bench in suite {

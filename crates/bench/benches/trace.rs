@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use dfcm_obs::json::JsonObj;
-use dfcm_sim::{stream_v2_file, stream_v3_file, StreamPredictor};
+use dfcm_sim::{stream_trace_file, StreamPredictor};
 use dfcm_trace::suite::standard_suite;
 use dfcm_trace::{Trace, TraceFormat, TraceSource};
 
@@ -134,10 +134,10 @@ fn main() {
         vec![StreamPredictor::parse_spec("dfcm:12:12").expect("valid spec")]
     };
     let (v2_seconds, v2_report) = best_of(reps, || {
-        stream_v2_file(&v2_path, &mut lane(), threads).expect("intact file")
+        stream_trace_file(&v2_path, &mut lane(), threads).expect("intact file")
     });
     let (v3_seconds, v3_report) = best_of(reps, || {
-        stream_v3_file(&v3_path, &mut lane(), threads).expect("intact file")
+        stream_trace_file(&v3_path, &mut lane(), threads).expect("intact file")
     });
     assert_eq!(
         v2_report.stats, v3_report.stats,

@@ -13,7 +13,7 @@ use dfcm::{
     CounterMeta, DfcmPredictor, FcmPredictor, HybridPredictor, PerfectMeta, StridePredictor,
 };
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -24,6 +24,7 @@ pub fn run(opts: &Options) {
         "STRIDE+FCM and STRIDE+DFCM use a perfect (oracle) selector.",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let mut table = TextTable::new(vec![
         "l2",
         "FCM",
@@ -36,7 +37,7 @@ pub fn run(opts: &Options) {
     let mut dfcm_within_real_hybrid = true;
     let mut max_stride_dfcm_gain: f64 = 0.0;
     for l2 in opts.l2_sweep() {
-        let fcm = run_suite(
+        let fcm = run_suite_engine(
             || {
                 FcmPredictor::builder()
                     .l1_bits(16)
@@ -45,9 +46,11 @@ pub fn run(opts: &Options) {
                     .expect("valid")
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
-        let dfcm = run_suite(
+        let dfcm = run_suite_engine(
             || {
                 DfcmPredictor::builder()
                     .l1_bits(16)
@@ -56,9 +59,11 @@ pub fn run(opts: &Options) {
                     .expect("valid")
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
-        let stride_fcm = run_suite(
+        let stride_fcm = run_suite_engine(
             || {
                 HybridPredictor::new(
                     StridePredictor::new(16),
@@ -71,9 +76,11 @@ pub fn run(opts: &Options) {
                 )
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
-        let stride_dfcm = run_suite(
+        let stride_dfcm = run_suite_engine(
             || {
                 HybridPredictor::new(
                     StridePredictor::new(16),
@@ -86,12 +93,14 @@ pub fn run(opts: &Options) {
                 )
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
         // A *realizable* selector (PC-indexed saturating counters), for
         // scale: the paper argues no implementable meta-predictor can
         // reach the oracle, so the DFCM beats any real hybrid.
-        let real_hybrid = run_suite(
+        let real_hybrid = run_suite_engine(
             || {
                 HybridPredictor::new(
                     StridePredictor::new(16),
@@ -104,7 +113,9 @@ pub fn run(opts: &Options) {
                 )
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
         dfcm_beats_hybrid_everywhere &= dfcm >= stride_fcm - 1e-9;
         dfcm_within_real_hybrid &= dfcm > real_hybrid - 0.02;

@@ -8,7 +8,7 @@
 use dfcm::{DelayedUpdate, DfcmPredictor, FcmPredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -22,10 +22,11 @@ pub fn run(opts: &Options) {
         "The update for a prediction lands only after d further predictions.",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let mut table = TextTable::new(vec!["delay", "FCM", "DFCM"]);
     let mut rows = Vec::new();
     for d in DELAYS {
-        let fcm = run_suite(
+        let fcm = run_suite_engine(
             || {
                 DelayedUpdate::new(
                     FcmPredictor::builder()
@@ -37,9 +38,11 @@ pub fn run(opts: &Options) {
                 )
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
-        let dfcm = run_suite(
+        let dfcm = run_suite_engine(
             || {
                 DelayedUpdate::new(
                     DfcmPredictor::builder()
@@ -51,7 +54,9 @@ pub fn run(opts: &Options) {
                 )
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
         rows.push((d, fcm, dfcm));
         table.row(vec![d.to_string(), fmt_accuracy(fcm), fmt_accuracy(dfcm)]);

@@ -13,7 +13,7 @@
 
 use dfcm::{AnalyzedKind, DfcmPredictor, FcmPredictor, IdealContextPredictor, ValuePredictor};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -24,37 +24,36 @@ pub fn run(opts: &Options) {
         "Ideal = per-instruction, unbounded, collision-free tables of the same order.",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let mut table = TextTable::new(vec!["predictor", "accuracy", "ideal", "gap"]);
     for (kind, label) in [(AnalyzedKind::Fcm, "fcm"), (AnalyzedKind::Dfcm, "dfcm")] {
         for l2 in [12u32, 16] {
-            let real = match kind {
-                AnalyzedKind::Fcm => run_suite(
-                    || -> Box<dyn ValuePredictor> {
-                        Box::new(
+            let real = run_suite_engine(
+                || -> Box<dyn ValuePredictor> {
+                    match kind {
+                        AnalyzedKind::Fcm => Box::new(
                             FcmPredictor::builder()
                                 .l1_bits(16)
                                 .l2_bits(l2)
                                 .build()
                                 .expect("valid"),
-                        )
-                    },
-                    &traces,
-                ),
-                AnalyzedKind::Dfcm => run_suite(
-                    || -> Box<dyn ValuePredictor> {
-                        Box::new(
+                        ),
+                        AnalyzedKind::Dfcm => Box::new(
                             DfcmPredictor::builder()
                                 .l1_bits(16)
                                 .l2_bits(l2)
                                 .build()
                                 .expect("valid"),
-                        )
-                    },
-                    &traces,
-                ),
-            };
+                        ),
+                    }
+                },
+                &traces,
+                &engine,
+            )
+            .0;
             let order = dfcm::HashFunction::FsR5.order(l2) as usize;
-            let ideal = run_suite(|| IdealContextPredictor::new(kind, order), &traces);
+            let ideal =
+                run_suite_engine(|| IdealContextPredictor::new(kind, order), &traces, &engine).0;
             let (r, i) = (real.weighted_accuracy(), ideal.weighted_accuracy());
             table.row(vec![
                 format!("{label}(2^16/2^{l2}, order {order})"),

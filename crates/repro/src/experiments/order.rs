@@ -9,7 +9,7 @@
 
 use dfcm::{DfcmPredictor, FcmPredictor, HashFunction};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -20,6 +20,7 @@ pub fn run(opts: &Options) {
         "order = ceil(12 / shift); shift 5 is the paper's FS R-5 (order 3).",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let mut table = TextTable::new(vec!["hash", "order", "FCM", "DFCM"]);
     let mut configs: Vec<(String, HashFunction)> = [12u8, 6, 5, 4, 3, 2]
         .iter()
@@ -27,7 +28,7 @@ pub fn run(opts: &Options) {
         .collect();
     configs.push(("fold-xor".into(), HashFunction::FoldXor));
     for (label, hash) in configs {
-        let fcm = run_suite(
+        let fcm = run_suite_engine(
             || {
                 FcmPredictor::builder()
                     .l1_bits(16)
@@ -37,9 +38,11 @@ pub fn run(opts: &Options) {
                     .expect("valid")
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
-        let dfcm = run_suite(
+        let dfcm = run_suite_engine(
             || {
                 DfcmPredictor::builder()
                     .l1_bits(16)
@@ -49,7 +52,9 @@ pub fn run(opts: &Options) {
                     .expect("valid")
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
         let order = match hash {
             HashFunction::FoldXor => "-".to_owned(),

@@ -17,7 +17,7 @@ use dfcm::{
     ClassifiedPredictor, DfcmPredictor, LastNValuePredictor, LastValuePredictor, ValuePredictor,
 };
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -28,6 +28,7 @@ pub fn run(opts: &Options) {
         "All predictors compared at comparable storage on the suite.",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let mut table = TextTable::new(vec!["predictor", "kbit", "accuracy"]);
 
     let mut row = |name: String, kbits: f64, acc: f64| {
@@ -45,7 +46,7 @@ pub fn run(opts: &Options) {
             .build()
             .expect("valid")
     };
-    let result = run_suite(classified, &traces);
+    let result = run_suite_engine(classified, &traces, &engine).0;
     row(
         result.predictor.clone(),
         result.kbits,
@@ -65,14 +66,14 @@ pub fn run(opts: &Options) {
 
     // Last-n value predictors.
     for n in [1usize, 2, 4] {
-        let result = run_suite(|| LastNValuePredictor::new(12, n), &traces);
+        let result = run_suite_engine(|| LastNValuePredictor::new(12, n), &traces, &engine).0;
         row(
             result.predictor.clone(),
             result.kbits,
             result.weighted_accuracy(),
         );
     }
-    let result = run_suite(|| LastValuePredictor::new(12), &traces);
+    let result = run_suite_engine(|| LastValuePredictor::new(12), &traces, &engine).0;
     row(
         result.predictor.clone(),
         result.kbits,
@@ -81,7 +82,7 @@ pub fn run(opts: &Options) {
 
     // The DFCM at comparable (and at half) storage.
     for (l1, l2) in [(12u32, 12u32), (11, 11)] {
-        let result = run_suite(
+        let result = run_suite_engine(
             || {
                 DfcmPredictor::builder()
                     .l1_bits(l1)
@@ -90,7 +91,9 @@ pub fn run(opts: &Options) {
                     .expect("valid")
             },
             &traces,
-        );
+            &engine,
+        )
+        .0;
         row(
             result.predictor.clone(),
             result.kbits,

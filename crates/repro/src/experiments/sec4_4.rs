@@ -9,7 +9,7 @@
 
 use dfcm::{DfcmPredictor, StrideWidth, ValuePredictor};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -20,6 +20,7 @@ pub fn run(opts: &Options) {
         "DFCM accuracy when the level-2 table stores truncated differences.",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let widths = [
         ("full", StrideWidth::Full),
         ("16b", StrideWidth::Bits(16)),
@@ -41,7 +42,9 @@ pub fn run(opts: &Options) {
                         .expect("valid")
                 };
                 let kbits = build().storage().kbits();
-                let acc = run_suite(build, &traces).weighted_accuracy();
+                let acc = run_suite_engine(build, &traces, &engine)
+                    .0
+                    .weighted_accuracy();
                 let base = *baseline.get_or_insert(acc);
                 let drop = base - acc;
                 match width {

@@ -10,7 +10,7 @@
 
 use dfcm::{DelayedUpdate, DfcmPredictor, SpeculativeDfcm};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -24,10 +24,11 @@ pub fn run(opts: &Options) {
          advanced with the prediction, repaired on misprediction.",
     );
     let traces = opts.traces();
+    let engine = opts.engine_config();
     let mut table = TextTable::new(vec!["delay", "DFCM stale", "DFCM speculative", "recovered"]);
     let mut baseline = None;
     for d in DELAYS {
-        let stale = run_suite(
+        let stale = run_suite_engine(
             || {
                 DelayedUpdate::new(
                     DfcmPredictor::builder()
@@ -39,9 +40,11 @@ pub fn run(opts: &Options) {
                 )
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
-        let speculative = run_suite(
+        let speculative = run_suite_engine(
             || {
                 SpeculativeDfcm::builder()
                     .l1_bits(16)
@@ -51,7 +54,9 @@ pub fn run(opts: &Options) {
                     .expect("valid")
             },
             &traces,
+            &engine,
         )
+        .0
         .weighted_accuracy();
         let base = *baseline.get_or_insert(stale.max(speculative));
         let lost = base - stale;

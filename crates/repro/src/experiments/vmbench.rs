@@ -11,7 +11,7 @@
 use dfcm::{DfcmPredictor, FcmPredictor, StridePredictor};
 use dfcm_sim::kernel_traces_observed;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::run_suite_engine;
 
 use crate::common::{banner, Options};
 
@@ -26,9 +26,10 @@ pub fn run(opts: &Options) {
     // bit-identical); with `--obs` the fast tier's fusion/replay
     // mechanics land in the export as `vm_*` metrics.
     let traces = kernel_traces_observed(max_records, opts.vm_tier, &opts.obs);
+    let engine = opts.engine_config();
 
-    let stride = run_suite(|| StridePredictor::new(12), &traces);
-    let fcm = run_suite(
+    let stride = run_suite_engine(|| StridePredictor::new(12), &traces, &engine).0;
+    let fcm = run_suite_engine(
         || {
             FcmPredictor::builder()
                 .l1_bits(12)
@@ -37,8 +38,10 @@ pub fn run(opts: &Options) {
                 .expect("valid")
         },
         &traces,
-    );
-    let dfcm = run_suite(
+        &engine,
+    )
+    .0;
+    let dfcm = run_suite_engine(
         || {
             DfcmPredictor::builder()
                 .l1_bits(12)
@@ -47,7 +50,9 @@ pub fn run(opts: &Options) {
                 .expect("valid")
         },
         &traces,
-    );
+        &engine,
+    )
+    .0;
 
     let mut table = TextTable::new(vec!["kernel", "records", "stride", "FCM", "DFCM", "gain"]);
     for b in &fcm.benchmarks {

@@ -6,9 +6,13 @@
 //! can run in any order. The engine exploits exactly that granularity: a
 //! shared work queue of (configuration, benchmark) tasks drained by
 //! `std::thread::scope` workers, with results merged back into
-//! configuration/suite order so the output is bit-identical to the
-//! serial [`sweep`](crate::sweep) path (which remains the reference
-//! implementation for equivalence tests).
+//! configuration/suite order so the output is bit-identical to running
+//! [`simulate_trace`] over every pair in turn — the paper's
+//! predict-then-update loop, which the equivalence tests
+//! (`tests/engine_equiv.rs`) use as the oracle. Every suite experiment
+//! runs through [`sweep_engine_ft`]; [`sweep_engine`],
+//! [`run_suite_engine_ft`] and [`run_suite_engine`] are thin wrappers
+//! over it.
 //!
 //! # Fault tolerance
 //!
@@ -54,8 +58,7 @@ use crate::checkpoint::{decode_stats, encode_stats, CheckpointLog};
 use crate::fault::{FaultPlan, InjectedFault};
 use crate::report::json_string;
 use crate::run::{simulate_trace, RunStats};
-use crate::suite::{BenchmarkResult, SuiteResult};
-use crate::sweep::SweepPoint;
+use crate::suite::{BenchmarkResult, SuiteResult, SweepPoint};
 
 /// Locks a mutex, recovering the guard if a panicking task poisoned it:
 /// the engine's shared state (queue, result list, metrics) is only ever
@@ -745,40 +748,6 @@ where
     run_tasks_resumable(labels, task, config, Vec::new(), |_, _, _, _| {})
 }
 
-/// Runs `labels.len()` infallible tasks over a shared work queue and
-/// returns their outputs in task order plus the run metrics.
-///
-/// This is the engine's original all-or-nothing primitive, kept for
-/// batches whose tasks cannot meaningfully fail. It now runs on the
-/// fault-tolerant core, so a worker's panic no longer poisons the queue
-/// mid-sweep — but to honor the infallible contract it still panics at
-/// merge time (with the failing task's label and outcome) if any task
-/// failed, e.g. under an injected [`FaultPlan`]. Callers that need to
-/// survive failures should use [`run_tasks_ft`].
-///
-/// # Panics
-///
-/// Panics if any task panicked or failed.
-pub fn run_tasks<T, F>(
-    labels: Vec<String>,
-    task: F,
-    config: &EngineConfig,
-) -> (Vec<T>, EngineReport)
-where
-    T: Send,
-    F: Fn(usize) -> TaskOutput<T> + Sync,
-{
-    let (values, report) = run_tasks_ft(labels, |i| Ok(task(i)), config);
-    let values = values
-        .into_iter()
-        .zip(&report.tasks)
-        .map(|(value, metric)| {
-            value.unwrap_or_else(|| panic!("engine task `{}` {}", metric.label, metric.outcome))
-        })
-        .collect();
-    (values, report)
-}
-
 /// Builds the engine's task labels for a (configuration × benchmark)
 /// sweep: `cfg<index>/<benchmark>`, configuration-major.
 fn sweep_labels(configs: usize, traces: &[BenchmarkTrace]) -> Vec<String> {
@@ -788,8 +757,8 @@ fn sweep_labels(configs: usize, traces: &[BenchmarkTrace]) -> Vec<String> {
         .collect()
 }
 
-/// The placeholder points [`sweep`](crate::sweep) produces for an empty
-/// suite, mirrored by every engine path.
+/// The placeholder point per configuration for an empty suite, which
+/// has no predictor to read a label or size from.
 fn empty_suite_points<C: Clone>(configs: &[C]) -> Vec<SweepPoint<C>> {
     configs
         .iter()
@@ -804,15 +773,17 @@ fn empty_suite_points<C: Clone>(configs: &[C]) -> Vec<SweepPoint<C>> {
         .collect()
 }
 
-/// Fault-tolerant [`sweep`](crate::sweep) at (configuration, benchmark)
-/// granularity, with optional checkpoint/resume.
+/// Evaluates a family of predictor configurations over a benchmark
+/// suite, fault-tolerant, with optional checkpoint/resume.
 ///
-/// Every pair becomes one engine task with a fresh cold predictor, and
-/// results merge deterministically back into configuration order. A
-/// failed task's benchmark is *omitted* from its configuration's
-/// [`SuiteResult`] (and recorded in the report) instead of aborting the
-/// sweep; with no failures the returned points are identical (including
-/// float bits) to the serial sweep's.
+/// `factory` builds a fresh predictor for a configuration. Every
+/// (configuration, benchmark) pair becomes one engine task with its own
+/// cold predictor, as in the paper, and results merge deterministically
+/// back into configuration order. A failed task's benchmark is
+/// *omitted* from its configuration's [`SuiteResult`] (and recorded in
+/// the report) instead of aborting the sweep; with no failures the
+/// returned points are identical (including float bits) to running
+/// [`simulate_trace`] over each pair in turn.
 ///
 /// With `checkpoint` set, completed tasks stream to a JSONL
 /// [`CheckpointLog`] at that path;
@@ -838,8 +809,8 @@ where
     F: Fn(&C) -> P + Sync,
 {
     if traces.is_empty() {
-        // No benchmarks, no tasks: mirror the serial path's placeholder
-        // suite result per configuration.
+        // No benchmarks, no tasks: a placeholder suite result per
+        // configuration.
         return Ok((
             empty_suite_points(configs),
             EngineReport::empty(config.resolve_threads(0)),
@@ -897,8 +868,8 @@ where
                 })
                 .collect();
             // The label and size come from a fresh predictor of this
-            // configuration — the same deterministic values the serial
-            // path reads off its first benchmark's predictor.
+            // configuration — the same deterministic values every task's
+            // predictor reports.
             let probe = factory(cfg);
             SweepPoint {
                 config: cfg.clone(),
@@ -913,15 +884,25 @@ where
     Ok((points, report))
 }
 
-/// [`sweep`](crate::sweep)'s work at (configuration, benchmark)
-/// granularity: every pair becomes one engine task with a fresh cold
-/// predictor, and results merge deterministically back into
-/// configuration order. The returned points are identical (including
-/// float bits) to the serial sweep's.
+/// The infallible [`sweep_engine_ft`]: no checkpoint, and a panic if
+/// any task failed (which cannot happen unless the config injects
+/// faults or the factory/simulation panics).
 ///
-/// This is the infallible wrapper over [`sweep_engine_ft`]: it runs no
-/// checkpoint and panics if any task failed (which cannot happen unless
-/// the config injects faults or the factory/simulation panics).
+/// ```
+/// use dfcm::LastValuePredictor;
+/// use dfcm_sim::{sweep_engine, EngineConfig};
+/// use dfcm_trace::suite::standard_traces;
+///
+/// let traces = standard_traces(1, 0.001);
+/// let (points, _) = sweep_engine(
+///     &[6u32, 8],
+///     |&bits| LastValuePredictor::new(bits),
+///     &traces,
+///     &EngineConfig::threads(2),
+/// );
+/// assert_eq!(points.len(), 2);
+/// assert!(points[0].accuracy() > 0.0);
+/// ```
 ///
 /// # Panics
 ///
@@ -945,10 +926,10 @@ where
     (points, report)
 }
 
-/// Fault-tolerant [`run_suite`](crate::run_suite) on the engine: one
-/// configuration, one task per benchmark, with optional
-/// checkpoint/resume. Failed benchmarks are omitted from the
-/// [`SuiteResult`] and recorded in the report.
+/// Runs a fresh predictor from `factory` over each benchmark — the
+/// paper's per-benchmark simulation — as one engine task per benchmark,
+/// with optional checkpoint/resume. Failed benchmarks are omitted from
+/// the [`SuiteResult`] and recorded in the report.
 ///
 /// # Errors
 ///
@@ -967,8 +948,8 @@ where
     Ok((points.pop().expect("one config in").result, report))
 }
 
-/// [`run_suite`](crate::run_suite) on the engine: one configuration,
-/// one task per benchmark.
+/// The infallible [`run_suite_engine_ft`]: no checkpoint, one task per
+/// benchmark.
 ///
 /// # Panics
 ///
@@ -989,8 +970,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_suite;
-    use crate::sweep::sweep;
     use dfcm::{DfcmPredictor, LastValuePredictor};
     use dfcm_trace::{Trace, TraceRecord};
 
@@ -1006,6 +985,36 @@ mod tests {
             .collect()
     }
 
+    /// The oracle: a serial sweep that runs [`simulate_trace`] on a fresh
+    /// predictor per (configuration, benchmark), in configuration order.
+    fn serial_sweep<C: Clone, P: ValuePredictor>(
+        configs: &[C],
+        factory: impl Fn(&C) -> P,
+        traces: &[BenchmarkTrace],
+    ) -> Vec<SweepPoint<C>> {
+        configs
+            .iter()
+            .map(|config| {
+                let probe = factory(config);
+                let benchmarks = traces
+                    .iter()
+                    .map(|b| BenchmarkResult {
+                        name: b.name,
+                        stats: simulate_trace(&mut factory(config), &b.trace),
+                    })
+                    .collect();
+                SweepPoint {
+                    config: config.clone(),
+                    result: SuiteResult {
+                        predictor: probe.name(),
+                        kbits: probe.storage().kbits(),
+                        benchmarks,
+                    },
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn engine_matches_serial_sweep() {
         let traces = suite(3, 400);
@@ -1017,7 +1026,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let serial = sweep(&configs, factory, &traces);
+        let serial = serial_sweep(&configs, factory, &traces);
         for threads in [1, 3, 64] {
             let (points, report) =
                 sweep_engine(&configs, factory, &traces, &EngineConfig::threads(threads));
@@ -1029,9 +1038,12 @@ mod tests {
     }
 
     #[test]
-    fn run_suite_engine_matches_run_suite() {
+    fn run_suite_engine_matches_serial_oracle() {
         let traces = suite(4, 300);
-        let serial = run_suite(|| LastValuePredictor::new(6), &traces);
+        let serial = serial_sweep(&[6u32], |&bits| LastValuePredictor::new(bits), &traces)
+            .pop()
+            .unwrap()
+            .result;
         let (result, report) = run_suite_engine(
             || LastValuePredictor::new(6),
             &traces,
@@ -1044,10 +1056,14 @@ mod tests {
 
     #[test]
     fn empty_suite_mirrors_serial_placeholder() {
-        let serial = run_suite(|| LastValuePredictor::new(4), &[]);
         let (result, report) =
             run_suite_engine(|| LastValuePredictor::new(4), &[], &EngineConfig::default());
-        assert_eq!(result, serial);
+        let placeholder = SuiteResult {
+            predictor: "(empty suite)".to_owned(),
+            kbits: 0.0,
+            benchmarks: Vec::new(),
+        };
+        assert_eq!(result, placeholder);
         assert!(report.tasks.is_empty());
         assert_eq!(report.total_records(), 0);
     }
@@ -1131,15 +1147,17 @@ mod tests {
     #[test]
     fn run_tasks_preserves_order_under_contention() {
         let labels = (0..200).map(|i| format!("t{i}")).collect();
-        let (values, report) = run_tasks(
+        let (values, report) = run_tasks_ft(
             labels,
-            |i| TaskOutput {
-                value: i * 7,
-                records: 1,
+            |i| {
+                Ok(TaskOutput {
+                    value: i * 7,
+                    records: 1,
+                })
             },
             &EngineConfig::threads(8),
         );
-        assert_eq!(values, (0..200).map(|i| i * 7).collect::<Vec<_>>());
+        assert_eq!(values, (0..200).map(|i| Some(i * 7)).collect::<Vec<_>>());
         assert_eq!(report.tasks[13].label, "t13");
         assert_eq!(report.total_records(), 200);
     }
@@ -1158,19 +1176,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "engine task `t1` panicked")]
-    fn infallible_run_tasks_propagates_failures_as_panics() {
-        let labels = (0..3).map(|i| format!("t{i}")).collect();
-        run_tasks::<usize, _>(
-            labels,
-            |i| {
-                assert!(i != 1, "task 1 exploded");
-                TaskOutput {
-                    value: i,
-                    records: 1,
-                }
-            },
-            &EngineConfig::threads(1),
+    #[should_panic(expected = "engine task `cfg0/a` panicked")]
+    fn infallible_sweep_engine_propagates_failures_as_panics() {
+        let config = EngineConfig {
+            threads: 1,
+            retry: RetryPolicy::none(),
+            faults: Some(FaultPlan::new(1).with_panics(1000)),
+            ..EngineConfig::default()
+        };
+        sweep_engine(
+            &[4u32, 6],
+            |&bits| LastValuePredictor::new(bits),
+            &suite(2, 10),
+            &config,
         );
     }
 

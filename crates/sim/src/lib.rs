@@ -5,19 +5,20 @@
 //! trace; suite results are reported as the arithmetic mean over all
 //! benchmarks weighted by the number of predicted instructions.
 //!
-//! * [`simulate`] / [`simulate_trace`] — run one predictor over one trace.
+//! * [`simulate_trace`] / [`simulate_n`] — run one predictor over one
+//!   trace: the paper's predict-then-update loop, and the oracle every
+//!   faster path is tested against.
 //! * [`stream`] — the single-pass streaming core: one trace decode feeds
-//!   many predictor lanes ([`stream_trace`], [`stream_v2_file`],
-//!   [`stream_v3_file`], [`stream_trace_file`]), sharded across threads
-//!   on files, bit-identical to the reference loop and flat-memory on
-//!   chunked files.
-//! * [`run_suite`] — fresh predictor per benchmark, weighted-mean accuracy.
-//! * [`sweep`] — evaluate a family of configurations over a suite.
-//! * [`engine`] — the parallel execution engine: a shared work queue of
-//!   (configuration, benchmark) tasks with deterministic merge, run
-//!   metrics, panic isolation, bounded retries and checkpoint/resume
-//!   ([`sweep_engine`], [`sweep_engine_ft`], [`run_suite_engine`],
-//!   [`EngineReport`], [`TaskOutcome`]).
+//!   many predictor lanes ([`stream_trace`], [`stream_trace_file`]),
+//!   sharded across threads on files, bit-identical to the reference
+//!   loop and flat-memory on chunked files.
+//! * [`engine`] — the one suite runner: a shared work queue of
+//!   (configuration, benchmark) tasks, each with a fresh predictor, with
+//!   deterministic merge, run metrics, panic isolation, bounded retries
+//!   and checkpoint/resume ([`sweep_engine_ft`], [`sweep_engine`],
+//!   [`run_suite_engine_ft`], [`run_suite_engine`], [`EngineReport`],
+//!   [`TaskOutcome`]). Suite results ([`SuiteResult`], [`SweepPoint`])
+//!   report the weighted-mean accuracy.
 //! * [`checkpoint`] — the append-only JSONL task-result log that backs
 //!   `--resume` ([`checkpoint::CheckpointLog`]).
 //! * [`fault`] — seeded, deterministic fault injection for testing the
@@ -62,26 +63,23 @@ mod run;
 pub mod speculation;
 pub mod stream;
 mod suite;
-mod sweep;
 mod timeline;
 mod vm_tasks;
 
 pub use crate::confidence::{simulate_confidence, ConfidenceStats};
 pub use crate::engine::{
-    run_suite_engine, run_suite_engine_ft, run_tasks, run_tasks_ft, run_tasks_resumable,
-    sweep_engine, sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy, TaskError, TaskMetric,
-    TaskOutcome, TaskOutput, WorkerMetric,
+    run_suite_engine, run_suite_engine_ft, run_tasks_ft, run_tasks_resumable, sweep_engine,
+    sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy, TaskError, TaskMetric, TaskOutcome,
+    TaskOutput, WorkerMetric,
 };
 pub use crate::fault::{FaultPlan, InjectedFault};
 pub use crate::pareto::{pareto_front, ParetoPoint};
-pub use crate::run::{simulate, simulate_n, simulate_trace, simulate_trace_observed, RunStats};
+pub use crate::run::{simulate_n, simulate_trace, simulate_trace_observed, RunStats};
 pub use crate::stream::{
     stream_records_with, stream_trace, stream_trace_chunked, stream_trace_file,
-    stream_trace_file_observed, stream_v2_file, stream_v2_file_observed, stream_v3_file,
-    stream_v3_file_observed, SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS,
+    stream_trace_file_observed, SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS,
     STREAM_CHUNK_RECORDS,
 };
-pub use crate::suite::{run_suite, BenchmarkResult, SuiteResult};
-pub use crate::sweep::{sweep, sweep_parallel, SweepPoint};
+pub use crate::suite::{BenchmarkResult, SuiteResult, SweepPoint};
 pub use crate::timeline::simulate_timeline;
 pub use crate::vm_tasks::{kernel_traces_observed, record_tier_stats};

@@ -32,20 +32,6 @@ impl RunStats {
     }
 }
 
-/// Runs `predictor` over every record `source` yields.
-pub fn simulate<P, S>(predictor: &mut P, source: &mut S) -> RunStats
-where
-    P: ValuePredictor + ?Sized,
-    S: TraceSource + ?Sized,
-{
-    let mut stats = RunStats::default();
-    while let Some(record) = source.next_record() {
-        stats.predictions += 1;
-        stats.correct += u64::from(predictor.access(record.pc, record.value).correct);
-    }
-    stats
-}
-
 /// Runs `predictor` over at most `n` records of `source`.
 pub fn simulate_n<P, S>(predictor: &mut P, source: &mut S, n: usize) -> RunStats
 where
@@ -68,7 +54,7 @@ pub fn simulate_trace<P>(predictor: &mut P, trace: &Trace) -> RunStats
 where
     P: ValuePredictor + ?Sized,
 {
-    // Count incrementally (like `simulate`) rather than pre-populating
+    // Count incrementally (like `simulate_n`) rather than pre-populating
     // `predictions` with `trace.len()`: a chunked or early-exiting caller
     // must never see more predictions reported than were actually made.
     let mut stats = RunStats::default();
@@ -176,7 +162,7 @@ mod tests {
         let mut a = LastValuePredictor::new(4);
         let mut b = LastValuePredictor::new(4);
         let sa = simulate_trace(&mut a, &trace);
-        let sb = simulate(&mut b, &mut trace.source());
+        let sb = simulate_n(&mut b, &mut trace.source(), usize::MAX);
         assert_eq!(sa, sb);
         assert_eq!(sa.predictions, 100);
         assert_eq!(sa.correct, 99); // one cold miss

@@ -12,9 +12,8 @@
 //!   not `dyn` — dispatch.
 //! * **Chunked runs with deterministic merge.** [`stream_trace_chunked`]
 //!   produces the same result as one per-chunk [`RunStats`] merge in chunk
-//!   order; [`stream_v2_file`] and [`stream_v3_file`] extend this to
-//!   on-disk `DFCMTRC2`/`DFCMTRC3` traces ([`stream_trace_file`]
-//!   auto-detects), decoding chunks on worker threads while the
+//!   order; [`stream_trace_file`] extends this to on-disk traces of any
+//!   format (auto-detected), decoding chunks on worker threads while the
 //!   (stateful) lanes consume them strictly in file order — bit-identical
 //!   to a serial run, any thread count.
 //! * **Lane shards.** Lanes share nothing but the records (the paper's §4
@@ -355,7 +354,7 @@ pub fn stream_trace_chunked(
     totals
 }
 
-/// Outcome of a [`stream_v2_file`]/[`stream_v3_file`] run.
+/// Outcome of a [`stream_trace_file`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamFileReport {
     /// Per-lane statistics, in lane order.
@@ -402,8 +401,8 @@ fn v1_chunks(trace: &Trace) -> impl Iterator<Item = io::Result<OwnedChunk>> + Se
         .map(|c| Ok(OwnedChunk(c.to_vec())))
 }
 
-/// Streams an on-disk `DFCMTRC2` trace through the lanes on up to
-/// `threads` threads.
+/// Streams a trace file through the lanes on up to `threads` threads,
+/// auto-detecting the format from the magic.
 ///
 /// `threads` bounds both stages of the pass. It is the number of decode
 /// workers, and the most lane shards the lanes are split into: with
@@ -412,87 +411,38 @@ fn v1_chunks(trace: &Trace) -> impl Iterator<Item = io::Result<OwnedChunk>> + Se
 /// each other on a thread of its own. `0` or `1` decodes and runs every
 /// lane inline on the calling thread.
 ///
-/// The v2 format restarts its pc delta chain in every chunk, so chunks
-/// decode independently and in any order — but predictor lanes are
-/// stateful, so decoded chunks are *consumed* strictly in file order (a
-/// reorder buffer bridges the two), and every shard receives every chunk
-/// in that order. Each lane's per-chunk stats are merged in chunk order.
-/// The result — stats and lane state — is therefore bit-identical to a
-/// fully serial run regardless of `threads`.
+/// The chunked formats (`DFCMTRC2`, and the compressed `DFCMTRC3`)
+/// decode chunk by chunk, independently and in any order — but
+/// predictor lanes are stateful, so decoded chunks are *consumed*
+/// strictly in file order (a reorder buffer bridges the two), and every
+/// shard receives every chunk in that order. Each lane's per-chunk
+/// stats are merged in chunk order. The result — stats and lane state —
+/// is therefore bit-identical to a fully serial run, and across formats
+/// over the same records, regardless of `threads`.
 ///
-/// Memory stays flat at any trace size: the file is read one chunk at a
-/// time, at most O(`threads`) chunks are in flight, and the shards share
-/// each decoded chunk rather than copying it.
+/// Memory stays flat at any trace size on the chunked formats: the file
+/// is read one chunk at a time, at most O(`threads`) chunks are in
+/// flight (each v3 decode allocation capped by the bomb guards), and
+/// the shards share each decoded chunk rather than copying it. The
+/// unchunked legacy v1 format is fully loaded and then streamed in
+/// [`STREAM_CHUNK_RECORDS`] chunks.
 ///
 /// # Errors
 ///
 /// Propagates open/read errors and chunk corruption
-/// ([`dfcm_trace::TraceFormatError`] wrapped in `InvalidData`). On a
-/// corrupt chunk the error reported is the lowest-indexed one, again
-/// independent of thread scheduling; the lanes will have consumed the
-/// intact chunks before it, and no chunk after it.
-pub fn stream_v2_file<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    threads: usize,
-) -> io::Result<StreamFileReport> {
-    stream_file_chunks(dfcm_trace::V2ChunkReader::open(path)?, lanes, threads)
-}
-
-/// Streams an on-disk compressed `DFCMTRC3` trace through the lanes,
-/// decompressing and decoding its chunks on `threads` worker threads and
-/// running the lanes in up to `threads` shards.
-///
-/// Same ordering and determinism contract as [`stream_v2_file`]: decoded
-/// chunks are consumed strictly in file order, so the result is
-/// bit-identical to a serial run — and to the v2 path over the same
-/// records — at any thread count. The working set is O(`threads`)
-/// chunks (compressed + decoded), independent of trace length, with each
-/// chunk's decode allocation capped by the v3 bomb guards.
-///
-/// # Errors
-///
-/// As [`stream_v2_file`], plus
-/// [`dfcm_trace::TraceFormatError::DecompressionBomb`] for chunks whose
-/// declared sizes no legitimate writer could produce.
-pub fn stream_v3_file<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    threads: usize,
-) -> io::Result<StreamFileReport> {
-    stream_file_chunks(dfcm_trace::V3ChunkReader::open(path)?, lanes, threads)
-}
-
-/// Streams any trace file through the lanes, auto-detecting the format
-/// from the magic: chunked formats (v2, v3) stream flat-memory via
-/// [`stream_v2_file`]/[`stream_v3_file`]; the unchunked legacy v1 format
-/// is fully loaded and then streamed in [`STREAM_CHUNK_RECORDS`] chunks
-/// (v1 has no independently decodable chunks to bound memory with).
-/// `threads` means the same as for [`stream_v2_file`].
-///
-/// # Errors
-///
-/// As [`stream_v2_file`], plus `InvalidData` with
-/// [`dfcm_trace::TraceFormatError::BadMagic`] for unrecognized files.
+/// ([`dfcm_trace::TraceFormatError`] wrapped in `InvalidData`, including
+/// [`dfcm_trace::TraceFormatError::DecompressionBomb`] for v3 chunks
+/// whose declared sizes no legitimate writer could produce, and
+/// [`dfcm_trace::TraceFormatError::BadMagic`] for unrecognized files).
+/// On a corrupt chunk the error reported is the lowest-indexed one,
+/// again independent of thread scheduling; the lanes will have consumed
+/// the intact chunks before it, and no chunk after it.
 pub fn stream_trace_file<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
     threads: usize,
 ) -> io::Result<StreamFileReport> {
-    let mut file = File::open(path)?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    file.seek(SeekFrom::Start(0))?;
-    let reader = BufReader::new(file);
-    match &magic {
-        b"DFCMTRC2" => stream_file_chunks(dfcm_trace::v2_chunks(reader)?, lanes, threads),
-        b"DFCMTRC3" => stream_file_chunks(dfcm_trace::v3_chunks(reader)?, lanes, threads),
-        b"DFCMTRC1" => {
-            let trace = Trace::read_from(reader)?;
-            stream_file_chunks(v1_chunks(&trace), lanes, threads)
-        }
-        _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
-    }
+    stream_trace_file_observed(path, lanes, threads, &Obs::disabled(), false)
 }
 
 /// Decoded chunks a spawned lane shard may have queued before the
@@ -697,7 +647,8 @@ where
     C: StreamChunk,
     I: Iterator<Item = io::Result<C>> + Send,
 {
-    let offload = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+    let offload =
+        obs.is_enabled() && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
     stream_file_chunks_observed_with(chunks, lanes, threads, obs, table_stats, offload)
 }
 
@@ -832,52 +783,6 @@ where
     })
 }
 
-/// [`stream_v2_file`] with phase-resolved observability (see
-/// [`stream_trace_file_observed`]). With `obs` disabled this is exactly
-/// [`stream_v2_file`].
-///
-/// # Errors
-///
-/// As [`stream_v2_file`].
-pub fn stream_v2_file_observed<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-) -> io::Result<StreamFileReport> {
-    stream_file_chunks_observed(
-        dfcm_trace::V2ChunkReader::open(path)?,
-        lanes,
-        threads,
-        obs,
-        table_stats,
-    )
-}
-
-/// [`stream_v3_file`] with phase-resolved observability (see
-/// [`stream_trace_file_observed`]). With `obs` disabled this is exactly
-/// [`stream_v3_file`].
-///
-/// # Errors
-///
-/// As [`stream_v3_file`].
-pub fn stream_v3_file_observed<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-) -> io::Result<StreamFileReport> {
-    stream_file_chunks_observed(
-        dfcm_trace::V3ChunkReader::open(path)?,
-        lanes,
-        threads,
-        obs,
-        table_stats,
-    )
-}
-
 /// [`stream_trace_file`] with phase-resolved observability: when `obs`
 /// is enabled, every lane folds a fixed-window accuracy/alias-class
 /// series and a top-K per-PC misprediction tracker over the stream
@@ -908,9 +813,6 @@ pub fn stream_trace_file_observed<P: AsRef<Path>>(
     obs: &Obs,
     table_stats: bool,
 ) -> io::Result<StreamFileReport> {
-    if !obs.is_enabled() {
-        return stream_trace_file(path, lanes, threads);
-    }
     let mut file = File::open(path)?;
     let mut magic = [0u8; 8];
     file.read_exact(&mut magic)?;
@@ -933,7 +835,7 @@ pub fn stream_trace_file_observed<P: AsRef<Path>>(
         ),
         b"DFCMTRC1" => {
             let trace = Trace::read_from(reader)?;
-            stream_file_chunks_observed(v1_chunks(&trace), lanes, 0, obs, table_stats)
+            stream_file_chunks_observed(v1_chunks(&trace), lanes, threads, obs, table_stats)
         }
         _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
     }
@@ -1157,7 +1059,7 @@ mod tests {
         let expected = stream_trace(&mut reference, &trace);
         for threads in [0, 1, 2, 5] {
             let mut l = lanes();
-            let report = stream_v2_file(&path, &mut l, threads).unwrap();
+            let report = stream_trace_file(&path, &mut l, threads).unwrap();
             assert_eq!(report.stats, expected, "{threads} threads");
             assert_eq!(report.records, trace.len() as u64);
             assert_eq!(report.chunks, 3);
@@ -1175,7 +1077,7 @@ mod tests {
         let path = std::env::temp_dir().join("dfcm_stream_v2_corrupt_test.trc");
         atomic_write(&path, &buffer).unwrap();
         for threads in [1, 4] {
-            let err = stream_v2_file(&path, &mut lanes(), threads).unwrap_err();
+            let err = stream_trace_file(&path, &mut lanes(), threads).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{threads} threads");
         }
         let _ = std::fs::remove_file(&path);
@@ -1198,18 +1100,14 @@ mod tests {
         let mut reference = lanes();
         let expected = stream_trace(&mut reference, &trace);
         let mut v2_lanes = lanes();
-        let v2_report = stream_v2_file(&v2_path, &mut v2_lanes, 2).unwrap();
+        let v2_report = stream_trace_file(&v2_path, &mut v2_lanes, 2).unwrap();
         assert_eq!(v2_report.stats, expected);
         for threads in [0, 1, 2, 5] {
             let mut l = lanes();
-            let report = stream_v3_file(&v3_path, &mut l, threads).unwrap();
+            let report = stream_trace_file(&v3_path, &mut l, threads).unwrap();
             assert_eq!(report.stats, expected, "{threads} threads");
             assert_eq!(report.records, trace.len() as u64);
             assert_eq!(report.chunks, 3);
-            // The auto-detecting entry point takes the same path.
-            let mut auto = lanes();
-            let auto_report = stream_trace_file(&v3_path, &mut auto, threads).unwrap();
-            assert_eq!(auto_report, report, "{threads} threads via sniffer");
         }
         let _ = std::fs::remove_file(&v2_path);
         let _ = std::fs::remove_file(&v3_path);
@@ -1229,7 +1127,7 @@ mod tests {
         let path = std::env::temp_dir().join("dfcm_stream_v3_corrupt_test.trc");
         atomic_write(&path, &buffer).unwrap();
         for threads in [1, 4] {
-            let err = stream_v3_file(&path, &mut lanes(), threads).unwrap_err();
+            let err = stream_trace_file(&path, &mut lanes(), threads).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{threads} threads");
         }
         let _ = std::fs::remove_file(&path);
@@ -1402,7 +1300,7 @@ mod tests {
 
         let obs = Obs::enabled();
         let mut l = lanes();
-        let report = stream_v2_file_observed(&path, &mut l, 2, &obs, true).unwrap();
+        let report = stream_trace_file_observed(&path, &mut l, 2, &obs, true).unwrap();
         let series = obs.series_snapshot();
         assert_eq!(series.len(), l.len());
         for (lane_series, (lane, stats)) in series.iter().zip(l.iter().zip(&report.stats)) {
@@ -1450,7 +1348,8 @@ mod tests {
         // bit-identical.
         let disabled = Obs::disabled();
         let mut plain = lanes();
-        let plain_report = stream_v2_file_observed(&path, &mut plain, 2, &disabled, true).unwrap();
+        let plain_report =
+            stream_trace_file_observed(&path, &mut plain, 2, &disabled, true).unwrap();
         assert_eq!(plain_report, report);
         assert!(disabled.series_snapshot().is_empty());
         let _ = std::fs::remove_file(&path);

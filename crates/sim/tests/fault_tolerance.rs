@@ -14,7 +14,7 @@ use std::time::Duration;
 use dfcm::{DfcmPredictor, LastValuePredictor};
 use dfcm_sim::checkpoint::CheckpointLog;
 use dfcm_sim::engine::{run_tasks_ft, TaskError, TaskOutput};
-use dfcm_sim::{sweep, sweep_engine_ft, EngineConfig, FaultPlan, RetryPolicy, TaskOutcome};
+use dfcm_sim::{sweep_engine, sweep_engine_ft, EngineConfig, FaultPlan, RetryPolicy, TaskOutcome};
 use dfcm_trace::{BenchmarkTrace, Trace, TraceRecord};
 use proptest::prelude::*;
 
@@ -69,10 +69,10 @@ fn panicking_task_is_isolated_and_reported() {
         ..EngineConfig::default()
     };
     let (points, report) = sweep_engine_ft(&CONFIGS, dfcm_factory, &traces, &config, None).unwrap();
-    // Every non-faulted task completed and matches the serial reference.
-    let serial = sweep(&CONFIGS, dfcm_factory, &traces);
+    // Every non-faulted task completed and matches a fault-free run.
+    let clean = sweep_engine(&CONFIGS, dfcm_factory, &traces, &EngineConfig::threads(1)).0;
     for (c, point) in points.iter().enumerate() {
-        let expect: Vec<_> = serial[c]
+        let expect: Vec<_> = clean[c]
             .result
             .benchmarks
             .iter()
@@ -81,7 +81,7 @@ fn panicking_task_is_isolated_and_reported() {
             .map(|(_, r)| r.clone())
             .collect();
         assert_eq!(point.result.benchmarks, expect, "config {c}");
-        assert_eq!(point.result.predictor, serial[c].result.predictor);
+        assert_eq!(point.result.predictor, clean[c].result.predictor);
     }
     // Failures are first-class in the report, in task order.
     let reported: Vec<usize> = report

@@ -89,7 +89,7 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
     // benchmark, streaming the compressed v3 file — at one thread and at
     // several — produces the same records and the same RunStats as the
     // v2 path and the in-memory pass.
-    use dfcm_sim::{stream_trace_file, stream_v2_file, stream_v3_file};
+    use dfcm_sim::stream_trace_file;
     use dfcm_trace::TraceFormat;
 
     let dir = std::env::temp_dir().join("dfcm_stream_equiv_v3");
@@ -109,7 +109,7 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
         let mut memory = lanes();
         let expected = stream_trace(&mut memory, &bench.trace);
         let mut v2 = lanes();
-        let v2_report = stream_v2_file(&v2_path, &mut v2, 3).unwrap();
+        let v2_report = stream_trace_file(&v2_path, &mut v2, 3).unwrap();
         assert_eq!(
             v2_report.stats, expected,
             "{}: v2 path diverged",
@@ -117,16 +117,13 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
         );
         for threads in [1, 3] {
             let mut v3 = lanes();
-            let v3_report = stream_v3_file(&v3_path, &mut v3, threads).unwrap();
+            let v3_report = stream_trace_file(&v3_path, &mut v3, threads).unwrap();
             assert_eq!(
                 v3_report.stats, expected,
                 "{}: v3 path diverged at {} threads",
                 bench.name, threads
             );
             assert_eq!(v3_report.records, v2_report.records, "{}", bench.name);
-            let mut sniffed = lanes();
-            let auto = stream_trace_file(&v3_path, &mut sniffed, threads).unwrap();
-            assert_eq!(auto, v3_report, "{}: sniffer diverged", bench.name);
         }
         let _ = std::fs::remove_file(&v2_path);
         let _ = std::fs::remove_file(&v3_path);
@@ -184,7 +181,7 @@ fn state_of(lanes: &[StreamPredictor]) -> Vec<Vec<u64>> {
 fn file_paths_match_memory_in_stats_and_lane_state_at_any_thread_count() {
     // Lane shards must leave every lane exactly where the in-memory
     // pass leaves it — its full table state, not just its hit count.
-    use dfcm_sim::{stream_trace_file, stream_v2_file, stream_v3_file};
+    use dfcm_sim::stream_trace_file;
     use dfcm_trace::{TraceFormat, V2_CHUNK_RECORDS};
 
     let trace = multi_chunk_suite_trace();
@@ -198,29 +195,16 @@ fn file_paths_match_memory_in_stats_and_lane_state_at_any_thread_count() {
     trace.save_with(&v1, TraceFormat::V1).unwrap();
     trace.save_with(&v2, TraceFormat::V2 { seed: 1 }).unwrap();
     trace.save_with(&v3, TraceFormat::V3 { seed: 1 }).unwrap();
-    type FileFn = fn(
-        &std::path::Path,
-        &mut [StreamPredictor],
-        usize,
-    ) -> std::io::Result<dfcm_sim::StreamFileReport>;
-    let paths: [(&str, FileFn, &std::path::Path); 3] = [
-        ("stream_v2_file", |p, l, t| stream_v2_file(p, l, t), &v2),
-        ("stream_v3_file", |p, l, t| stream_v3_file(p, l, t), &v3),
-        (
-            "stream_trace_file(v1)",
-            |p, l, t| stream_trace_file(p, l, t),
-            &v1,
-        ),
-    ];
+    let paths = [("v2", &v2), ("v3", &v3), ("v1", &v1)];
 
     for base in lane_sets() {
         let mut memory = base.clone();
         let expected = stream_trace(&mut memory, &trace);
         let expected_state = state_of(&memory);
-        for (name, stream, path) in &paths {
+        for (name, path) in paths {
             for threads in THREAD_COUNTS {
                 let mut streamed = base.clone();
-                let report = stream(path, &mut streamed, threads).unwrap();
+                let report = stream_trace_file(path, &mut streamed, threads).unwrap();
                 let at = format!("{name}, {} lanes, {threads} threads", base.len());
                 assert_eq!(report.stats, expected, "{at}: stats");
                 assert_eq!(report.records, trace.len() as u64, "{at}");
@@ -234,7 +218,7 @@ fn file_paths_match_memory_in_stats_and_lane_state_at_any_thread_count() {
 
 #[test]
 fn corrupt_middle_chunk_names_lowest_bad_chunk_and_keeps_intact_prefix() {
-    use dfcm_sim::stream_v3_file;
+    use dfcm_sim::stream_trace_file;
     use dfcm_trace::{v3_chunks, TraceFormat, TraceFormatError, V3_CHUNK_RECORDS};
 
     let trace = multi_chunk_suite_trace();
@@ -270,7 +254,7 @@ fn corrupt_middle_chunk_names_lowest_bad_chunk_and_keeps_intact_prefix() {
         let expected_state = state_of(&memory);
         for threads in THREAD_COUNTS {
             let mut streamed = base.clone();
-            let err = stream_v3_file(&path, &mut streamed, threads).unwrap_err();
+            let err = stream_trace_file(&path, &mut streamed, threads).unwrap_err();
             let at = format!("{} lanes, {threads} threads", base.len());
             match TraceFormatError::classify(&err) {
                 Some(TraceFormatError::ChunkCrcMismatch { chunk: 1, .. }) => {}

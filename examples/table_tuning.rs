@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example table_tuning [budget_kbit]`
 
 use dfcm_suite::predictors::{DfcmPredictor, FcmPredictor};
-use dfcm_suite::sim::{pareto_front, sweep, ParetoPoint};
+use dfcm_suite::sim::{pareto_front, sweep_engine, EngineConfig, ParetoPoint};
 use dfcm_suite::trace::suite::standard_traces;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .flat_map(|&a| l2s.iter().map(move |&b| (a, b)))
         .collect();
 
-    let fcm_points: Vec<ParetoPoint> = sweep(
+    let engine = EngineConfig::default();
+    let fcm_points: Vec<ParetoPoint> = sweep_engine(
         &grid,
         |&(l1, l2)| {
             FcmPredictor::builder()
@@ -35,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .expect("valid")
         },
         &traces,
+        &engine,
     )
+    .0
     .into_iter()
     .map(|p| ParetoPoint {
         label: p.result.predictor.clone(),
@@ -44,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })
     .collect();
 
-    let dfcm_points: Vec<ParetoPoint> = sweep(
+    let dfcm_points: Vec<ParetoPoint> = sweep_engine(
         &grid,
         |&(l1, l2)| {
             DfcmPredictor::builder()
@@ -54,7 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .expect("valid")
         },
         &traces,
+        &engine,
     )
+    .0
     .into_iter()
     .map(|p| ParetoPoint {
         label: p.result.predictor.clone(),

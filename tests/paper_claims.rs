@@ -6,7 +6,7 @@ use dfcm_suite::predictors::{
     DelayedUpdate, DfcmPredictor, FcmPredictor, HybridPredictor, PerfectMeta, StridePredictor,
     StrideWidth, ValuePredictor,
 };
-use dfcm_suite::sim::{run_suite, SuiteResult};
+use dfcm_suite::sim::{run_suite_engine, EngineConfig, SuiteResult};
 use dfcm_suite::trace::suite::standard_traces;
 use dfcm_suite::trace::BenchmarkTrace;
 
@@ -18,7 +18,7 @@ fn traces() -> Vec<BenchmarkTrace> {
 }
 
 fn fcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
-    run_suite(
+    run_suite_engine(
         || {
             FcmPredictor::builder()
                 .l1_bits(l1)
@@ -27,11 +27,13 @@ fn fcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
                 .expect("valid")
         },
         traces,
+        &EngineConfig::default(),
     )
+    .0
 }
 
 fn dfcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
-    run_suite(
+    run_suite_engine(
         || {
             DfcmPredictor::builder()
                 .l1_bits(l1)
@@ -40,7 +42,9 @@ fn dfcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
                 .expect("valid")
         },
         traces,
+        &EngineConfig::default(),
     )
+    .0
 }
 
 /// §4.1: the DFCM outperforms a similar FCM at every level-2 size.
@@ -111,7 +115,7 @@ fn per_benchmark_gains_match_paper_ordering() {
 fn dfcm_beats_perfect_stride_fcm_hybrid() {
     let traces = traces();
     for l2 in [10u32, 12, 14] {
-        let hybrid = run_suite(
+        let hybrid = run_suite_engine(
             || {
                 HybridPredictor::new(
                     StridePredictor::new(16),
@@ -124,7 +128,9 @@ fn dfcm_beats_perfect_stride_fcm_hybrid() {
                 )
             },
             &traces,
+            &EngineConfig::default(),
         )
+        .0
         .weighted_accuracy();
         let d = dfcm_suite(&traces, 16, l2).weighted_accuracy();
         // Paper: the DFCM is strictly above the perfect hybrid. On the
@@ -146,7 +152,7 @@ fn dfcm_beats_perfect_stride_fcm_hybrid() {
 fn stride_dfcm_hybrid_adds_little() {
     let traces = traces();
     let d = dfcm_suite(&traces, 16, 12).weighted_accuracy();
-    let hybrid = run_suite(
+    let hybrid = run_suite_engine(
         || {
             HybridPredictor::new(
                 StridePredictor::new(16),
@@ -159,7 +165,9 @@ fn stride_dfcm_hybrid_adds_little() {
             )
         },
         &traces,
+        &EngineConfig::default(),
     )
+    .0
     .weighted_accuracy();
     assert!(
         hybrid >= d,
@@ -176,7 +184,7 @@ fn stride_dfcm_hybrid_adds_little() {
 fn delayed_update_degrades_but_preserves_ordering() {
     let traces = traces();
     let run = |delay: usize, dfcm: bool| {
-        run_suite(
+        run_suite_engine(
             || -> Box<dyn ValuePredictor> {
                 if dfcm {
                     Box::new(DelayedUpdate::new(
@@ -199,7 +207,9 @@ fn delayed_update_degrades_but_preserves_ordering() {
                 }
             },
             &traces,
+            &EngineConfig::default(),
         )
+        .0
         .weighted_accuracy()
     };
     for dfcm in [false, true] {
@@ -225,7 +235,7 @@ fn delayed_update_degrades_but_preserves_ordering() {
 fn narrow_stride_storage_costs_accuracy_in_bands() {
     let traces = traces();
     let acc = |width: StrideWidth| {
-        run_suite(
+        run_suite_engine(
             || {
                 DfcmPredictor::builder()
                     .l1_bits(16)
@@ -235,7 +245,9 @@ fn narrow_stride_storage_costs_accuracy_in_bands() {
                     .expect("valid")
             },
             &traces,
+            &EngineConfig::default(),
         )
+        .0
         .weighted_accuracy()
     };
     let full = acc(StrideWidth::Full);
@@ -268,8 +280,20 @@ fn fcm_is_best_simple_predictor_at_large_sizes() {
     use dfcm_suite::predictors::LastValuePredictor;
     let traces = traces();
     let fcm = fcm_suite(&traces, 16, 16).weighted_accuracy();
-    let lvp = run_suite(|| LastValuePredictor::new(16), &traces).weighted_accuracy();
-    let stride = run_suite(|| StridePredictor::new(16), &traces).weighted_accuracy();
+    let lvp = run_suite_engine(
+        || LastValuePredictor::new(16),
+        &traces,
+        &EngineConfig::default(),
+    )
+    .0
+    .weighted_accuracy();
+    let stride = run_suite_engine(
+        || StridePredictor::new(16),
+        &traces,
+        &EngineConfig::default(),
+    )
+    .0
+    .weighted_accuracy();
     assert!(fcm > lvp, "FCM {fcm:.3} must beat LVP {lvp:.3}");
     assert!(fcm > stride, "FCM {fcm:.3} must beat stride {stride:.3}");
 }
