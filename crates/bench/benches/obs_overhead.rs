@@ -14,19 +14,16 @@
 //! window/top-K fold, and `stream_series_classified` additionally runs
 //! the aliasing taxonomy.
 //!
-//! Fold placement decides what `stream_series` costs. On hosts with
-//! more than one hardware thread the fold runs on a dedicated thread
-//! and the streaming consumer only pays for writing outcome tuples into
-//! a recycled buffer — a few percent of the core, which is how the
-//! fold stays off the critical path. On a single-core host the fold
-//! runs inline (a fold thread would only time-slice against the
-//! consumer) and its full price lands on the core: roughly 2.3x on
-//! this deliberately miss-heavy two-lane suite, dominated by the
-//! per-miss top-K and histogram updates. `stream_series_classified`
-//! additionally pays the alias analyzer itself inside each lane access
-//! — predictor-side work that exists independently of the series fold.
-//! Either placement folds the identical outcome sequence, so the
-//! exported series is bit-identical (pinned by the dfcm-sim tests).
+//! Each lane's series depends only on that lane's outcomes, so the
+//! lane shard that runs the lane folds its series too: there is no
+//! separate fold stage, and with more than one thread the fold spreads
+//! across the shards with the lanes. These rows run one thread, so the
+//! full price of the fold lands on the one core: on this deliberately
+//! miss-heavy two-lane suite it is dominated by the per-miss top-K and
+//! histogram updates. `stream_series_classified` additionally pays the
+//! alias analyzer itself inside each lane access — predictor-side work
+//! that exists independently of the series fold. The exported series
+//! is bit-identical at any thread count (pinned by the dfcm-sim tests).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dfcm::DfcmPredictor;
@@ -111,8 +108,8 @@ fn bench_stream_series_overhead(c: &mut Criterion) {
             )
         })
     });
-    // Series fold plus the full aliasing taxonomy (what `eval
-    // --streaming --obs` runs).
+    // Series fold plus the full aliasing taxonomy (what `eval --obs`
+    // runs).
     group.bench_function(BenchmarkId::new("stream_series_classified", 1), |b| {
         b.iter(|| {
             let mut lanes = lanes();

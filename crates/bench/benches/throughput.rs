@@ -19,9 +19,9 @@
 //! (16 configurations) over the suite stored as DFCMTRC2 traces. The
 //! baseline is the pre-streaming workflow — one cold start per
 //! configuration, each paying a full v2 decode (CRC + varint) of every
-//! benchmark plus a dyn walk, exactly what 16 separate `dfcm-tools eval`
-//! invocations cost. The streaming side decodes each benchmark ONCE and
-//! feeds all 16 lanes in a single pass (`dfcm-tools eval --streaming`):
+//! benchmark plus a dyn walk, what 16 separate one-predictor
+//! evaluations cost. The streaming side decodes each benchmark ONCE and
+//! feeds all 16 lanes in a single pass (`dfcm-tools eval` with 16 specs):
 //! `aggregate.speedup = baseline_dyn_seconds / stream_seconds`.
 //!
 //! Not a Criterion bench: the in-workspace criterion shim measures

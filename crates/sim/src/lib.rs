@@ -74,7 +74,7 @@ pub use crate::engine::{
 };
 pub use crate::fault::{FaultPlan, InjectedFault};
 pub use crate::pareto::{pareto_front, ParetoPoint};
-pub use crate::run::{simulate_n, simulate_trace, simulate_trace_observed, RunStats};
+pub use crate::run::{simulate_n, simulate_trace, RunStats};
 pub use crate::stream::{
     stream_records_with, stream_trace, stream_trace_chunked, stream_trace_file,
     stream_trace_file_observed, SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS,

@@ -20,7 +20,8 @@
 //!   runs every predictor in isolation), so with more than one thread the
 //!   file paths split the lanes into contiguous, cost-balanced shards
 //!   that run in parallel, and hand every shard each decoded chunk as one
-//!   shared buffer. Every lane still sees every record in file order.
+//!   shared buffer. Every lane still sees every record in file order, and
+//!   an observed run folds each lane's phase series on the lane's shard.
 //! * **Flat memory at any trace size.** The file paths never materialize
 //!   the trace: a bounded pipeline holds O(`threads`) compressed and
 //!   decoded chunks at once, so a 100M-record v3 trace streams in a
@@ -490,76 +491,6 @@ fn lane_shards(lanes: &mut [StreamPredictor], threads: usize) -> Vec<&mut [Strea
     shards
 }
 
-/// Drives a chunk iterator through the pipeline into the lanes, merging
-/// each lane's per-chunk stats in chunk order.
-///
-/// The consuming thread runs the first lane shard itself. Every further
-/// shard runs [`stream_records_with`] on its own scoped thread over every
-/// decoded chunk, received in file order as one [`Arc`] all shards
-/// share; shard totals are concatenated back into lane order. With one
-/// shard (`threads <= 1`, or lanes too few or cheap to split) no shard
-/// thread exists and every lane runs inline.
-fn stream_file_chunks<C, I>(
-    chunks: I,
-    lanes: &mut [StreamPredictor],
-    threads: usize,
-) -> io::Result<StreamFileReport>
-where
-    C: StreamChunk,
-    I: Iterator<Item = io::Result<C>> + Send,
-{
-    let fold = |lanes: &mut [StreamPredictor], totals: &mut [RunStats], records: &[TraceRecord]| {
-        let chunk_stats = stream_records_with(lanes, records, |_, _, _| {});
-        for (total, part) in totals.iter_mut().zip(chunk_stats) {
-            total.merge(part);
-        }
-    };
-    let mut shards = lane_shards(lanes, threads).into_iter();
-    let first = shards.next().unwrap_or_default();
-    let mut records = 0u64;
-    let mut stats = vec![RunStats::default(); first.len()];
-    let chunk_count = std::thread::scope(|scope| {
-        let mut senders = Vec::new();
-        let mut workers = Vec::new();
-        for shard in shards {
-            let (tx, rx) = mpsc::sync_channel::<Arc<Vec<TraceRecord>>>(SHARD_CHANNEL_DEPTH);
-            senders.push(tx);
-            workers.push(scope.spawn(move || {
-                let mut totals = vec![RunStats::default(); shard.len()];
-                for chunk in rx {
-                    fold(shard, &mut totals, &chunk);
-                }
-                totals
-            }));
-        }
-        let result = stream_chunk_pipeline(chunks, threads, |decoded| {
-            records += decoded.len() as u64;
-            let shared = Arc::new(decoded);
-            for tx in &senders {
-                // A send error means the shard died; its panic surfaces
-                // at the join below.
-                let _ = tx.send(Arc::clone(&shared));
-            }
-            fold(first, &mut stats, &shared);
-        });
-        // Closing the channels lets every shard drain what it was sent —
-        // exactly the chunks before any failed one — and stop.
-        drop(senders);
-        for worker in workers {
-            match worker.join() {
-                Ok(totals) => stats.extend(totals),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        result
-    })?;
-    Ok(StreamFileReport {
-        stats,
-        records,
-        chunks: chunk_count,
-    })
-}
-
 /// Class-slot labels of the phase-resolved time series: the paper's five
 /// aliasing classes in [`AliasClass::ALL`] order, plus an `unclassified`
 /// slot for lanes that do not run an alias analyzer (lvp, stride,
@@ -568,30 +499,85 @@ pub const SERIES_CLASS_LABELS: &[&str] =
     &["l1", "hash", "l2_priv", "l2_pc", "none", "unclassified"];
 
 /// Maps a predictor's per-access alias class onto its series slot.
-pub(crate) fn class_slot(class: Option<AliasClass>) -> usize {
+fn class_slot(class: Option<AliasClass>) -> usize {
     class
         .and_then(|c| AliasClass::ALL.iter().position(|x| *x == c))
         .unwrap_or(SERIES_CLASS_LABELS.len() - 1)
 }
 
-/// One per-(record, lane) prediction outcome shipped from the streaming
-/// consumer to the series-fold thread, lane-major within each record.
-#[derive(Clone, Copy)]
-struct SeriesOutcome {
-    pc: u64,
-    predicted: u64,
-    actual: u64,
-    class: u32,
+/// One lane shard of a file pass: a contiguous run of lanes, their
+/// running totals and — when observed — their phase series, folded at
+/// `offset`, the global prediction index of the shard's next record.
+struct Shard<'a> {
+    lanes: &'a mut [StreamPredictor],
+    stats: Vec<RunStats>,
+    /// One series per lane when observed, empty otherwise.
+    series: Vec<LaneSeries>,
+    offset: u64,
 }
 
-/// Outcome-buffer chunks the fold thread may hold before the consumer
-/// blocks — bounds the observed path's extra working set to
-/// O(`FOLD_CHANNEL_DEPTH` + 1) chunks of outcomes.
-const FOLD_CHANNEL_DEPTH: usize = 2;
+impl<'a> Shard<'a> {
+    fn new(lanes: &'a mut [StreamPredictor], observed: bool) -> Self {
+        let series = if observed {
+            lanes
+                .iter()
+                .map(|lane| LaneSeries::with_defaults(&lane.spec(), SERIES_CLASS_LABELS))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Shard {
+            stats: vec![RunStats::default(); lanes.len()],
+            lanes,
+            series,
+            offset: 0,
+        }
+    }
 
-/// Records a lane's end-of-run table/alias/accuracy metrics, mirroring
-/// [`simulate_trace_observed`](crate::simulate_trace_observed) so
-/// streaming and in-memory evaluations export the same aggregate names.
+    /// Folds one decoded chunk into the shard's lanes. An observed shard
+    /// also feeds every outcome to its lane's series, record-major, and
+    /// samples each lane's table occupancy at the chunk boundary.
+    fn fold(&mut self, records: &[TraceRecord], obs: &Obs) {
+        if self.series.is_empty() {
+            let chunk_stats = stream_records_with(self.lanes, records, |_, _, _| {});
+            for (total, part) in self.stats.iter_mut().zip(chunk_stats) {
+                total.merge(part);
+            }
+            return;
+        }
+        for (ri, record) in records.iter().enumerate() {
+            let index = self.offset + ri as u64;
+            let lanes = self.lanes.iter_mut().zip(&mut self.stats);
+            for ((lane, stats), series) in lanes.zip(&mut self.series) {
+                let outcome = lane.access(record.pc, record.value);
+                stats.predictions += 1;
+                stats.correct += u64::from(outcome.correct);
+                series.record(
+                    index,
+                    record.pc,
+                    class_slot(lane.last_alias_class()),
+                    outcome.predicted,
+                    record.value,
+                );
+            }
+        }
+        self.offset += records.len() as u64;
+        for (lane, series) in self.lanes.iter().zip(&self.series) {
+            if let Some(ts) = lane.table_stats() {
+                for t in &ts.tables {
+                    obs.sample(
+                        "table_occupancy_percent",
+                        &[("spec", series.spec()), ("table", t.name)],
+                        t.occupancy_percent(),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Records a lane's end-of-run table/alias/accuracy aggregates under its
+/// canonical spec.
 fn record_lane_metrics(obs: &Obs, lane: &StreamPredictor, spec: &str, stats: RunStats) {
     if let Some(ts) = lane.table_stats() {
         for t in &ts.tables {
@@ -616,27 +602,21 @@ fn record_lane_metrics(obs: &Obs, lane: &StreamPredictor, spec: &str, stats: Run
     obs.gauge("eval_accuracy", &[("spec", spec)], stats.accuracy());
 }
 
-/// [`stream_file_chunks`] with phase-resolved observability: each lane
-/// folds a windowed series + top-K tracker over the global prediction
-/// index, occupancy is sampled at every chunk boundary, and the final
-/// per-lane aggregates are recorded under the lane's canonical spec.
+/// Drives a chunk iterator through the pipeline into the lanes — the one
+/// file loop, observed or not — merging each lane's per-chunk stats in
+/// chunk order.
 ///
-/// The observed pass keeps every lane on the consuming thread, record
-/// by record (the fold needs each record's outcomes lane-major), so here
-/// `threads` counts decode workers only; lane shards are the plain
-/// path's.
+/// The consuming thread runs the first lane shard itself. Every further
+/// shard runs on its own scoped thread over every decoded chunk,
+/// received in file order as one [`Arc`] all shards share. With one
+/// shard (`threads <= 1`, or lanes too few or cheap to split) no shard
+/// thread exists and every lane runs inline.
 ///
-/// On hosts with more than one hardware thread the series fold runs on
-/// a dedicated thread, off the streaming consumer's critical path: the
-/// consumer records each outcome into a flat buffer (recycled between
-/// chunks, so the steady state never allocates) and ships whole chunks
-/// over a bounded channel, paying only for the buffer writes. On a
-/// single-core host a fold thread would just time-slice against the
-/// consumer and the fold runs inline instead. Either way the fold
-/// consumes the outcome sequence strictly in file order — the same
-/// order the consumer produced it — so the exported series is
-/// bit-identical at any `threads`, offloaded or not.
-fn stream_file_chunks_observed<C, I>(
+/// A lane's series depends only on its own outcomes, so with `obs`
+/// enabled each shard folds its own lanes' series and samples their
+/// occupancy; once every shard has joined, the per-lane aggregates and
+/// series are recorded in lane order.
+fn stream_file_chunks<C, I>(
     chunks: I,
     lanes: &mut [StreamPredictor],
     threads: usize,
@@ -647,137 +627,61 @@ where
     C: StreamChunk,
     I: Iterator<Item = io::Result<C>> + Send,
 {
-    let offload =
-        obs.is_enabled() && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    stream_file_chunks_observed_with(chunks, lanes, threads, obs, table_stats, offload)
-}
-
-/// [`stream_file_chunks_observed`] with the fold placement made explicit
-/// (`offload`), so tests can pin both paths on any host.
-fn stream_file_chunks_observed_with<C, I>(
-    chunks: I,
-    lanes: &mut [StreamPredictor],
-    threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-    offload: bool,
-) -> io::Result<StreamFileReport>
-where
-    C: StreamChunk,
-    I: Iterator<Item = io::Result<C>> + Send,
-{
-    if !obs.is_enabled() || lanes.is_empty() {
-        return stream_file_chunks(chunks, lanes, threads);
-    }
-    if table_stats {
+    let observed = obs.is_enabled();
+    if observed && table_stats {
         for lane in lanes.iter_mut() {
             lane.enable_table_stats();
         }
     }
-    let specs: Vec<String> = lanes.iter().map(StreamPredictor::spec).collect();
-    let mut series: Vec<LaneSeries> = specs
-        .iter()
-        .map(|s| LaneSeries::with_defaults(s, SERIES_CLASS_LABELS))
-        .collect();
-    let mut totals = vec![RunStats::default(); lanes.len()];
+    let mut shards = lane_shards(lanes, threads).into_iter();
+    let mut first = Shard::new(shards.next().unwrap_or_default(), observed);
     let mut records = 0u64;
-    let sample_occupancy = |lanes: &[StreamPredictor]| {
-        for (lane, spec) in lanes.iter().zip(&specs) {
-            if let Some(ts) = lane.table_stats() {
-                for t in &ts.tables {
-                    obs.sample(
-                        "table_occupancy_percent",
-                        &[("spec", spec), ("table", t.name)],
-                        t.occupancy_percent(),
-                    );
+    let chunk_count = std::thread::scope(|scope| {
+        let mut senders = Vec::new();
+        let mut workers = Vec::new();
+        for lanes in shards {
+            let mut shard = Shard::new(lanes, observed);
+            let (tx, rx) = mpsc::sync_channel::<Arc<Vec<TraceRecord>>>(SHARD_CHANNEL_DEPTH);
+            senders.push(tx);
+            workers.push(scope.spawn(move || {
+                for chunk in rx {
+                    shard.fold(&chunk, obs);
                 }
+                shard
+            }));
+        }
+        let result = stream_chunk_pipeline(chunks, threads, |decoded| {
+            records += decoded.len() as u64;
+            let shared = Arc::new(decoded);
+            for tx in &senders {
+                // A send error means the shard died; its panic surfaces
+                // at the join below.
+                let _ = tx.send(Arc::clone(&shared));
+            }
+            first.fold(&shared, obs);
+        });
+        // Closing the channels lets every shard drain what it was sent —
+        // exactly the chunks before any failed one — and stop.
+        drop(senders);
+        for worker in workers {
+            match worker.join() {
+                Ok(shard) => {
+                    first.stats.extend(shard.stats);
+                    first.series.extend(shard.series);
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-    };
-    let chunk_count = if offload {
-        let lane_count = lanes.len();
-        let empty_series = std::mem::take(&mut series);
-        let (chunk_result, folded) = std::thread::scope(|scope| {
-            let (fold_tx, fold_rx) = mpsc::sync_channel::<Vec<SeriesOutcome>>(FOLD_CHANNEL_DEPTH);
-            let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<SeriesOutcome>>();
-            let fold = scope.spawn(move || {
-                let mut series = empty_series;
-                let mut index = 0u64;
-                for buf in fold_rx {
-                    for group in buf.chunks_exact(lane_count) {
-                        for (lane_series, o) in series.iter_mut().zip(group) {
-                            lane_series.record(
-                                index,
-                                o.pc,
-                                o.class as usize,
-                                o.predicted,
-                                o.actual,
-                            );
-                        }
-                        index += 1;
-                    }
-                    // Hand the buffer back for reuse; the consumer may
-                    // already have exited, which is fine.
-                    let _ = recycle_tx.send(buf);
-                }
-                series
-            });
-            let result = stream_chunk_pipeline(chunks, threads, |decoded| {
-                let mut buf = recycle_rx.try_recv().unwrap_or_default();
-                buf.clear();
-                buf.reserve(decoded.len() * lane_count);
-                for record in &decoded {
-                    for (li, lane) in lanes.iter_mut().enumerate() {
-                        let outcome = lane.access(record.pc, record.value);
-                        totals[li].predictions += 1;
-                        totals[li].correct += u64::from(outcome.correct);
-                        buf.push(SeriesOutcome {
-                            pc: record.pc,
-                            predicted: outcome.predicted,
-                            actual: record.value,
-                            class: class_slot(lane.last_alias_class()) as u32,
-                        });
-                    }
-                }
-                records += decoded.len() as u64;
-                // A send error means the fold thread died; its panic
-                // surfaces at the join below.
-                let _ = fold_tx.send(buf);
-                sample_occupancy(lanes);
-            });
-            drop(fold_tx);
-            (result, fold.join().expect("series fold thread panicked"))
-        });
-        series = folded;
-        chunk_result?
-    } else {
-        stream_chunk_pipeline(chunks, threads, |decoded| {
-            for (ri, record) in decoded.iter().enumerate() {
-                for (li, lane) in lanes.iter_mut().enumerate() {
-                    let outcome = lane.access(record.pc, record.value);
-                    totals[li].predictions += 1;
-                    totals[li].correct += u64::from(outcome.correct);
-                    series[li].record(
-                        records + ri as u64,
-                        record.pc,
-                        class_slot(lane.last_alias_class()),
-                        outcome.predicted,
-                        record.value,
-                    );
-                }
-            }
-            records += decoded.len() as u64;
-            sample_occupancy(lanes);
-        })?
-    };
-    for ((lane, spec), stats) in lanes.iter().zip(&specs).zip(&totals) {
-        record_lane_metrics(obs, lane, spec, *stats);
-    }
-    for lane_series in series {
+        result
+    })?;
+    let Shard { stats, series, .. } = first;
+    // Unobserved runs carry no series, so this records nothing.
+    for ((lane, lane_stats), lane_series) in lanes.iter().zip(&stats).zip(series) {
+        record_lane_metrics(obs, lane, lane_series.spec(), *lane_stats);
         obs.record_series(lane_series);
     }
     Ok(StreamFileReport {
-        stats: totals,
+        stats,
         records,
         chunks: chunk_count,
     })
@@ -787,25 +691,26 @@ where
 /// is enabled, every lane folds a fixed-window accuracy/alias-class
 /// series and a top-K per-PC misprediction tracker over the stream
 /// (attached via [`Obs::record_series`], exported as `series.jsonl`),
-/// per-table occupancy is sampled at chunk boundaries, and the final
-/// table/alias/accuracy aggregates are recorded under each lane's
-/// canonical spec — the same metric names
-/// [`simulate_trace_observed`](crate::simulate_trace_observed) emits.
+/// per-table occupancy is sampled at every chunk boundary, and the final
+/// table/alias/accuracy aggregates (`predictor_table_*`,
+/// `predictor_alias_*`, `eval_accuracy`) are recorded under each lane's
+/// canonical spec.
 ///
 /// `table_stats` additionally enables each lane's table instrumentation
 /// (occupancy tracking and, on fcm/dfcm, the §4.2 alias analyzer that
 /// gives the series its per-class breakdown). Without it the fold is
 /// cheaper and every access lands in the `unclassified` slot.
 ///
-/// With `obs` enabled, `threads` counts decode workers only: the lanes
-/// and the fold stay record-major on the consuming thread. Decoded
-/// chunks are consumed strictly in file order regardless of `threads`,
-/// so the exported series is bit-identical at any thread count. With
-/// `obs` disabled this is exactly [`stream_trace_file`].
+/// `threads` bounds decode workers and lane shards exactly as in
+/// [`stream_trace_file`]; each shard folds its own lanes' series. Every
+/// lane consumes the chunks strictly in file order regardless of
+/// `threads`, so the exported series are bit-identical at any thread
+/// count. With `obs` disabled this is exactly [`stream_trace_file`].
 ///
 /// # Errors
 ///
-/// As [`stream_trace_file`].
+/// As [`stream_trace_file`]. On an error nothing is recorded into `obs`
+/// but the occupancy samples of the chunks consumed before it.
 pub fn stream_trace_file_observed<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
@@ -819,14 +724,14 @@ pub fn stream_trace_file_observed<P: AsRef<Path>>(
     file.seek(SeekFrom::Start(0))?;
     let reader = BufReader::new(file);
     match &magic {
-        b"DFCMTRC2" => stream_file_chunks_observed(
+        b"DFCMTRC2" => stream_file_chunks(
             dfcm_trace::v2_chunks(reader)?,
             lanes,
             threads,
             obs,
             table_stats,
         ),
-        b"DFCMTRC3" => stream_file_chunks_observed(
+        b"DFCMTRC3" => stream_file_chunks(
             dfcm_trace::v3_chunks(reader)?,
             lanes,
             threads,
@@ -835,7 +740,7 @@ pub fn stream_trace_file_observed<P: AsRef<Path>>(
         ),
         b"DFCMTRC1" => {
             let trace = Trace::read_from(reader)?;
-            stream_file_chunks_observed(v1_chunks(&trace), lanes, threads, obs, table_stats)
+            stream_file_chunks(v1_chunks(&trace), lanes, threads, obs, table_stats)
         }
         _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
     }
@@ -1191,6 +1096,8 @@ mod tests {
             "lvp:99",
             "stride:12:9",
             "dfcm:12:10:8",
+            "dfcm:99:12",
+            "dfcm:a:12",
             "",
         ] {
             assert!(StreamPredictor::parse_spec(spec).is_err(), "{spec:?}");
@@ -1253,40 +1160,124 @@ mod tests {
         }
     }
 
+    /// Nine lanes with distinct specs: enough cost to split into two,
+    /// three and more shards.
+    fn wide_lanes() -> Vec<StreamPredictor> {
+        let mut l = lanes();
+        for spec in ["lvp:8", "stride:8", "fcm:8:12", "dfcm:8:12"] {
+            l.push(StreamPredictor::parse_spec(spec).unwrap());
+        }
+        l
+    }
+
+    /// Everything an observed run of `path` exports that must not depend
+    /// on the thread count: the rendered series, every `predictor_*` and
+    /// `eval_accuracy` metric, and each (spec, table)'s occupancy samples
+    /// in order.
+    type ObservedExports = (Vec<String>, Vec<String>, BTreeMap<String, Vec<f64>>);
+
+    fn observed_exports(path: &Path, threads: usize) -> (ObservedExports, StreamFileReport) {
+        let obs = Obs::enabled();
+        let mut l = wide_lanes();
+        let report = stream_trace_file_observed(path, &mut l, threads, &obs, true).unwrap();
+        let series = obs.series_snapshot();
+        for lane_series in &series {
+            // Windows tile the global prediction index: every window but
+            // the last is full.
+            let windows = lane_series.series().windows();
+            let window_len = lane_series.series().window_len();
+            assert_eq!(windows.len() as u64, report.records.div_ceil(window_len));
+            let (last, full) = windows.split_last().unwrap();
+            assert!(full.iter().all(|w| w.predictions == window_len));
+            assert_eq!(
+                last.predictions,
+                report.records - full.len() as u64 * window_len
+            );
+        }
+        let lines = dfcm_obs::timeseries::render_series(&series);
+        let (events, metrics) = obs.snapshot();
+        let metrics: Vec<String> = metrics
+            .metrics
+            .iter()
+            .filter(|(k, _)| k.name.starts_with("predictor_") || k.name == "eval_accuracy")
+            .map(|(k, v)| format!("{k:?} {v:?}"))
+            .collect();
+        let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        for event in events {
+            if let dfcm_obs::span::Event::Sample {
+                name,
+                labels,
+                value,
+                ..
+            } = event
+            {
+                assert_eq!(name, "table_occupancy_percent");
+                samples
+                    .entry(format!("{labels:?}"))
+                    .or_default()
+                    .push(value);
+            }
+        }
+        ((lines, metrics, samples), report)
+    }
+
     #[test]
-    fn observed_series_identical_inline_and_offloaded() {
-        // The fold placement (inline on single-core hosts, a dedicated
-        // fold thread otherwise) is a pure performance decision: both
-        // consume the outcome sequence in file order, so the exported
-        // series must be bit-identical. Pin both paths explicitly so
-        // the host running the tests doesn't decide which one runs.
-        let trace = mixed_trace(V2_CHUNK_RECORDS as u64 + 777);
-        let path = std::env::temp_dir().join("dfcm_series_fold_placement.v2.trc");
+    fn sharded_observed_exports_identical_at_1_2_3_8_threads() {
+        assert_eq!(lane_shards(&mut wide_lanes(), 1).len(), 1);
+        assert_eq!(lane_shards(&mut wide_lanes(), 2).len(), 2);
+        assert_eq!(lane_shards(&mut wide_lanes(), 3).len(), 3);
+        assert!(lane_shards(&mut wide_lanes(), 8).len() > 3);
+        // Three chunks, the last one partial.
+        let trace = mixed_trace(2 * V2_CHUNK_RECORDS as u64 + 999);
+        let path = std::env::temp_dir().join("dfcm_series_sharded.v2.trc");
         trace
-            .save_with(&path, dfcm_trace::TraceFormat::V2 { seed: 9 })
+            .save_with(&path, dfcm_trace::TraceFormat::V2 { seed: 4 })
             .unwrap();
-        let run = |offload: bool| {
+        let (reference, reference_report) = observed_exports(&path, 1);
+        let (lines, metrics, samples) = &reference;
+        assert!(!lines.is_empty());
+        assert!(metrics.len() > wide_lanes().len(), "{metrics:?}");
+        // Every (spec, table) pair is sampled once per chunk, the final
+        // partial chunk included.
+        assert!(!samples.is_empty());
+        for (key, values) in samples {
+            assert_eq!(values.len(), reference_report.chunks, "{key}");
+        }
+        for threads in [2, 3, 8] {
+            let (exports, report) = observed_exports(&path, threads);
+            assert_eq!(exports, reference, "{threads} threads");
+            assert_eq!(report, reference_report, "{threads} threads");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn observed_corrupt_middle_chunk_reports_lowest_and_records_no_series() {
+        let trace = mixed_trace(4 * V2_CHUNK_RECORDS as u64);
+        let mut buffer = Vec::new();
+        trace.write_v2_to(&mut buffer, 2).unwrap();
+        // Flip a payload byte in the middle of chunks 1 and 2.
+        for at in [3, 5] {
+            let target = buffer.len() * at / 8;
+            buffer[target] ^= 0x40;
+        }
+        let path = std::env::temp_dir().join("dfcm_series_corrupt_middle.v2.trc");
+        atomic_write(&path, &buffer).unwrap();
+        for threads in [1, 2, 5] {
             let obs = Obs::enabled();
-            let mut l = lanes();
-            let report = stream_file_chunks_observed_with(
-                dfcm_trace::V2ChunkReader::open(&path).unwrap(),
-                &mut l,
-                2,
-                &obs,
-                true,
-                offload,
-            )
-            .unwrap();
-            (
-                dfcm_obs::timeseries::render_series(&obs.series_snapshot()),
-                report,
-            )
-        };
-        let (inline_lines, inline_report) = run(false);
-        let (offload_lines, offload_report) = run(true);
-        assert!(!inline_lines.is_empty());
-        assert_eq!(inline_lines, offload_lines);
-        assert_eq!(inline_report, offload_report);
+            let err = stream_trace_file_observed(&path, &mut wide_lanes(), threads, &obs, true)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    TraceFormatError::classify(&err),
+                    Some(TraceFormatError::ChunkCrcMismatch { chunk: 1, .. })
+                ),
+                "{threads} threads: {err}"
+            );
+            assert!(obs.series_snapshot().is_empty(), "{threads} threads");
+            let (_, metrics) = obs.snapshot();
+            assert!(metrics.is_empty(), "{threads} threads: {metrics:?}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -9,9 +9,9 @@
 //!   traces are streamed to disk without materializing, so record counts
 //!   in the hundreds of millions stay flat-memory).
 //! * `stats` — trace statistics (Table 1-style) for a saved trace.
-//! * `eval` — run a predictor configuration over a saved trace
-//!   (`--streaming` feeds every predictor in one bounded-memory pass
-//!   straight off the file, any format).
+//! * `eval` — run predictor configurations over a saved trace, every
+//!   predictor fed in one bounded-memory pass straight off the file, any
+//!   format.
 //! * `trace` — integrity tooling for saved traces: `inspect` (header and
 //!   chunk map, with per-chunk compressed/packed sizes and bits/record
 //!   for v3), `verify` (fail on any corruption), `salvage` (recover
@@ -39,7 +39,7 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,15 +48,12 @@ use std::time::Duration;
 
 use dfcm::ValuePredictor;
 use dfcm_sim::engine::{run_tasks_ft, TaskError, TaskOutput};
-use dfcm_sim::{
-    simulate_trace_observed, stream_trace_file_observed, EngineConfig, EngineReport,
-    StreamPredictor,
-};
+use dfcm_sim::{stream_trace_file_observed, EngineConfig, EngineReport, StreamPredictor};
 use dfcm_trace::stats::TraceStats;
 use dfcm_trace::suite::standard_suite;
 use dfcm_trace::{
-    atomic_write_with, inspect_trace, salvage_trace, Trace, TraceFormat, TraceSource,
-    V3StreamWriter,
+    atomic_write_with, inspect_trace, salvage_trace, Trace, TraceFormat, TraceFormatError,
+    TraceSource, V3StreamWriter,
 };
 use dfcm_vm::{assemble, classify_pair, disassemble, programs, Tier, Vm, VmLimits};
 
@@ -240,60 +237,45 @@ pub fn stats(path: &Path) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// Builds a predictor from a spec string like `dfcm:16:12`, `fcm:12:12`,
-/// `stride:14`, `2delta:14` or `lvp:12`.
+/// `eval <trace.trc> <predictor-spec>...` — runs predictors over a saved
+/// trace and reports accuracies.
 ///
-/// # Errors
-///
-/// Returns [`ToolError`] for unknown predictor names or malformed specs.
-pub fn predictor_for(spec: &str) -> Result<Box<dyn ValuePredictor>, ToolError> {
-    Ok(Box::new(stream_predictor_for(spec)?))
-}
-
-/// Builds a streaming lane from the same spec grammar as
-/// [`predictor_for`]. The streaming core dispatches through an enum, so
-/// only the five concrete predictor kinds are available — which is
-/// exactly what the spec grammar covers.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unknown predictor names or malformed specs.
-pub fn stream_predictor_for(spec: &str) -> Result<StreamPredictor, ToolError> {
-    StreamPredictor::parse_spec(spec).map_err(|e| err(e.to_string()))
-}
-
-/// `eval --streaming` — runs every spec as a lane of the single-pass
-/// streaming core: the trace is decoded and walked once straight off the
-/// file, all predictors update in the same pass (one engine task, so
-/// `--metrics`, retries and `--strict` still apply to it).
+/// Every spec runs as a lane of the single-pass streaming core: the
+/// trace is decoded and walked once straight off the file, and all
+/// predictors update in the same pass. The pass is one engine task, so
+/// `--metrics`, retries and `--strict` apply to it; a pass that panics or
+/// exhausts its retries does not abort the command — its line reads
+/// `FAILED` with the outcome and the failure stays visible in the
+/// returned [`EngineReport`] (the CLI's `--strict` flag makes it fatal).
 ///
 /// Any trace format is accepted (the magic is sniffed). Chunked formats
-/// (v2, v3) stream with a bounded working set — O(decode threads) chunks
-/// — so arbitrarily large traces evaluate in flat memory; the engine's
-/// thread count doubles as the chunk-decode thread count.
+/// (v2, v3) stream with a bounded working set — O(threads) chunks — so
+/// arbitrarily large traces evaluate in flat memory; the engine's thread
+/// count doubles as the chunk-decode and lane-shard thread count. Result
+/// lines appear in spec order.
 ///
-/// Output lines match [`eval`]'s layout and ordering. The streaming pass
-/// is bit-identical to the per-predictor path; what changes is
-/// throughput. With `engine.obs` enabled the streaming pass records the
-/// same telemetry as the per-predictor path: the per-spec
+/// With `engine.obs` enabled the pass records the per-spec
 /// `eval_accuracy` gauge, table occupancy/write counters, the paper's
-/// aliasing taxonomy, chunk-boundary occupancy samples, and the
-/// windowed phase series with top-K per-PC attribution (rendered by
-/// `dfcm-tools obs report`). The series are bit-identical at any decode
-/// thread count.
+/// aliasing taxonomy for FCM/DFCM, chunk-boundary occupancy samples, and
+/// the windowed phase series with top-K per-PC attribution (rendered by
+/// `dfcm-tools obs report`); the CLI's `--obs DIR` flag dumps the
+/// exports. The series are bit-identical at any thread count.
 ///
 /// # Errors
 ///
-/// Returns [`ToolError`] for unreadable traces or bad predictor specs.
-pub fn eval_streaming(
+/// Returns [`ToolError`] for bad predictor specs and for files that
+/// cannot be opened or do not start with a trace magic, before any task
+/// runs. Corruption found mid-stream is a permanent task failure.
+pub fn eval(
     path: &Path,
     specs: &[String],
     engine: &EngineConfig,
 ) -> Result<(String, EngineReport), ToolError> {
     let lanes = specs
         .iter()
-        .map(|s| stream_predictor_for(s))
+        .map(|s| StreamPredictor::parse_spec(s).map_err(|e| err(e.to_string())))
         .collect::<Result<Vec<StreamPredictor>, ToolError>>()?;
+    check_trace_magic(path)?;
     let threads = if engine.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -304,9 +286,6 @@ pub fn eval_streaming(
         vec![label.clone()],
         |_| {
             let mut lanes = lanes.clone();
-            // The observed entry point records the full telemetry set
-            // (eval_accuracy, table/alias counters, phase series) and
-            // falls back to the plain streaming pass when obs is off.
             let file_report =
                 stream_trace_file_observed(path, &mut lanes, threads, &engine.obs, true)
                     // Corruption won't heal on retry; read hiccups might.
@@ -339,13 +318,7 @@ pub fn eval_streaming(
     let mut out = String::new();
     match values.pop().flatten() {
         Some((records, lines)) => {
-            let _ = writeln!(
-                out,
-                "{} ({} records, streaming x{}):",
-                path.display(),
-                records,
-                specs.len()
-            );
+            let _ = writeln!(out, "{} ({records} records):", path.display());
             for line in lines {
                 let _ = writeln!(out, "{line}");
             }
@@ -356,76 +329,26 @@ pub fn eval_streaming(
                 .first()
                 .map(|t| t.outcome.to_string())
                 .unwrap_or_default();
-            let _ = writeln!(out, "{} (streaming x{}):", path.display(), specs.len());
+            let _ = writeln!(out, "{}:", path.display());
             let _ = writeln!(out, "  {label:<32} FAILED: {outcome}");
         }
     }
     Ok((out, report))
 }
 
-/// `eval <trace.trc> <predictor-spec>...` — runs predictors over a saved
-/// trace and reports accuracies.
-///
-/// Each predictor runs as one engine task; `engine` picks the worker
-/// count, progress reporting, retry policy and (for testing) fault
-/// injection. Lines appear in spec order regardless of scheduling, and
-/// the returned [`EngineReport`] carries the run metrics (per-task
-/// timing, outcome, per-worker utilization).
-///
-/// A task that panics or exhausts its retries does not abort the run:
-/// its line reads `FAILED` with the outcome, the other predictors still
-/// report, and the failure stays visible in the report (callers decide
-/// whether that is fatal — the CLI's `--strict` flag does exactly that).
-///
-/// With `engine.obs` enabled, every predictor additionally runs with
-/// table-usage instrumentation (occupancy samples, write/overwrite
-/// counters, the paper's aliasing taxonomy for FCM/DFCM and the
-/// `eval_accuracy` gauge) accumulated into the shared handle; the CLI's
-/// `--obs DIR` flag dumps the three export formats from it.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unreadable traces or bad predictor specs.
-pub fn eval(
-    path: &Path,
-    specs: &[String],
-    engine: &EngineConfig,
-) -> Result<(String, EngineReport), ToolError> {
-    let trace = Trace::load(path).map_err(|e| err(format!("{}: {e}", path.display())))?;
-    // Surface bad specs (in order) before any simulation runs.
-    for spec in specs {
-        predictor_for(spec)?;
+/// Opens `path` and checks that it starts with a trace magic, so a
+/// missing, unreadable or non-trace file is rejected up front rather
+/// than retried as a task failure.
+fn check_trace_magic(path: &Path) -> Result<(), ToolError> {
+    let fail = |e: std::io::Error| err(format!("{}: {e}", path.display()));
+    let mut magic = [0u8; 8];
+    File::open(path)
+        .and_then(|mut file| file.read_exact(&mut magic))
+        .map_err(fail)?;
+    match &magic {
+        b"DFCMTRC1" | b"DFCMTRC2" | b"DFCMTRC3" => Ok(()),
+        _ => Err(fail(TraceFormatError::BadMagic { found: magic }.into())),
     }
-    let (lines, report) = run_tasks_ft(
-        specs.to_vec(),
-        |i| {
-            let mut p = predictor_for(&specs[i]).expect("spec validated above");
-            let stats = simulate_trace_observed(&mut p, &trace, &engine.obs, &specs[i]);
-            Ok(TaskOutput {
-                value: format!(
-                    "  {:<32} accuracy {:.3}  ({:.1} Kbit)",
-                    p.name(),
-                    stats.accuracy(),
-                    p.storage().kbits()
-                ),
-                records: trace.len() as u64,
-            })
-        },
-        engine,
-    );
-    let mut out = String::new();
-    let _ = writeln!(out, "{} ({} records):", path.display(), trace.len());
-    for (line, metric) in lines.iter().zip(&report.tasks) {
-        match line {
-            Some(line) => {
-                let _ = writeln!(out, "{line}");
-            }
-            None => {
-                let _ = writeln!(out, "  {:<32} FAILED: {}", metric.label, metric.outcome);
-            }
-        }
-    }
-    Ok((out, report))
 }
 
 /// `trace inspect <file>` — header, chunk map and CRC status of a saved
@@ -2058,39 +1981,64 @@ mod tests {
 
     #[test]
     fn predictor_specs_parse() {
-        assert!(predictor_for("lvp:10").is_ok());
-        assert!(predictor_for("stride:10").is_ok());
-        assert!(predictor_for("2delta:10").is_ok());
-        assert!(predictor_for("fcm:12:12").is_ok());
-        assert!(predictor_for("dfcm:16:12").is_ok());
-        assert!(predictor_for("magic:3").is_err());
-        assert!(predictor_for("fcm:12").is_err());
-        assert!(predictor_for("dfcm:99:12").is_err());
-        assert!(predictor_for("dfcm:a:12").is_err());
+        let parse = StreamPredictor::parse_spec;
+        assert!(parse("lvp:10").is_ok());
+        assert!(parse("stride:10").is_ok());
+        assert!(parse("2delta:10").is_ok());
+        assert!(parse("fcm:12:12").is_ok());
+        assert!(parse("dfcm:16:12").is_ok());
+        assert!(parse("magic:3").is_err());
+        assert!(parse("fcm:12").is_err());
+        assert!(parse("dfcm:99:12").is_err());
+        assert!(parse("dfcm:a:12").is_err());
     }
 
     #[test]
     fn stream_predictor_specs_parse() {
-        for spec in [
-            "lvp:10",
-            "stride:10",
-            "2delta:10",
-            "fcm:12:12",
-            "dfcm:16:12",
-        ] {
-            let lane = stream_predictor_for(spec).unwrap();
-            // The lane reports the same name/cost as the dyn-path build.
-            let boxed = predictor_for(spec).unwrap();
+        use dfcm::{
+            DfcmPredictor, FcmPredictor, LastValuePredictor, StridePredictor,
+            TwoDeltaStridePredictor,
+        };
+        let direct: Vec<(&str, Box<dyn ValuePredictor>)> = vec![
+            ("lvp:10", Box::new(LastValuePredictor::new(10))),
+            ("stride:10", Box::new(StridePredictor::new(10))),
+            ("2delta:10", Box::new(TwoDeltaStridePredictor::new(10))),
+            (
+                "fcm:12:12",
+                Box::new(
+                    FcmPredictor::builder()
+                        .l1_bits(12)
+                        .l2_bits(12)
+                        .build()
+                        .unwrap(),
+                ),
+            ),
+            (
+                "dfcm:16:12",
+                Box::new(
+                    DfcmPredictor::builder()
+                        .l1_bits(16)
+                        .l2_bits(12)
+                        .build()
+                        .unwrap(),
+                ),
+            ),
+        ];
+        for (spec, boxed) in direct {
+            let lane = StreamPredictor::parse_spec(spec).unwrap();
+            // The lane reports the same name/cost as the predictor built
+            // directly, and its canonical spec is the one it was parsed from.
             assert_eq!(lane.name(), boxed.name());
             assert_eq!(lane.storage().total_bits(), boxed.storage().total_bits());
+            assert_eq!(lane.spec(), spec);
         }
-        assert!(stream_predictor_for("magic:3").is_err());
-        assert!(stream_predictor_for("fcm:12").is_err());
+        assert!(StreamPredictor::parse_spec("magic:3").is_err());
+        assert!(StreamPredictor::parse_spec("fcm:12").is_err());
     }
 
     #[test]
-    fn eval_streaming_reports_same_lines_as_eval() {
-        let dir = std::env::temp_dir().join("dfcm_tools_stream_eval_test");
+    fn eval_reports_simulate_trace_accuracy_per_spec() {
+        let dir = std::env::temp_dir().join("dfcm_tools_eval_oracle_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("li.trc");
@@ -2099,12 +2047,26 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let engine = EngineConfig::default();
-        let (classic, _) = eval(&path, &specs, &engine).unwrap();
-        let (streamed, report) = eval_streaming(&path, &specs, &engine).unwrap();
-        // Identical per-spec result lines (headers differ), in spec order.
-        let body = |s: &str| s.lines().skip(1).map(str::to_owned).collect::<Vec<_>>();
-        assert_eq!(body(&streamed), body(&classic));
+        let (out, report) = eval(&path, &specs, &EngineConfig::threads(2)).unwrap();
+        // Each spec's line, in spec order, carries the accuracy the
+        // predict-then-update oracle reports for a fresh predictor.
+        let trace = Trace::load(&path).unwrap();
+        let expected: Vec<String> = specs
+            .iter()
+            .map(|spec| {
+                let mut p = StreamPredictor::parse_spec(spec).unwrap();
+                let stats = dfcm_sim::simulate_trace(&mut p, &trace);
+                format!(
+                    "  {:<32} accuracy {:.3}  ({:.1} Kbit)",
+                    p.name(),
+                    stats.accuracy(),
+                    p.storage().kbits()
+                )
+            })
+            .collect();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], format!("{} (4000 records):", path.display()));
+        assert_eq!(lines[1..], expected);
         assert!(report.all_ok());
         // One task, records = trace.len() × lanes.
         assert_eq!(report.tasks.len(), 1);
@@ -2113,13 +2075,13 @@ mod tests {
     }
 
     #[test]
-    fn eval_streaming_rejects_bad_specs_before_running() {
+    fn eval_rejects_bad_specs_before_running() {
         let dir = std::env::temp_dir().join("dfcm_tools_stream_badspec_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.trc");
         generate("li", 100, &path, 1).unwrap();
-        let e = eval_streaming(&path, &["nope:1".to_owned()], &EngineConfig::default());
+        let e = eval(&path, &["nope:1".to_owned()], &EngineConfig::default());
         assert!(e.is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -15,12 +15,12 @@ usage:
               is written streaming, so record counts beyond memory are
               fine)
   dfcm-tools stats <trace.trc>
-  dfcm-tools eval <trace.trc> <predictor>... [--streaming] [--threads N] [--progress]
+  dfcm-tools eval <trace.trc> <predictor>... [--threads N] [--progress]
              [--metrics FILE] [--obs DIR] [--retries N]
              [--inject-faults SEED[:PANIC[:TRANSIENT[:DELAY]]]] [--strict]
              (predictors: lvp:B | stride:B | 2delta:B | fcm:L1:L2 | dfcm:L1:L2;
-              --streaming decodes and walks the trace once, feeding every
-              predictor in a single pass (same results, higher throughput);
+              the trace is decoded and walked once, feeding every predictor
+              in a single pass, in flat memory on v2/v3 files;
               --threads 0 = one per hardware thread; --metrics writes engine JSONL;
               --obs enables table-usage/aliasing observability and writes
               events.jsonl, trace.json (Perfetto) and metrics.prom into DIR;
@@ -198,23 +198,14 @@ fn run() -> Result<String, String> {
                 strict = true;
                 rest.remove(pos);
             }
-            let mut streaming = false;
-            if let Some(pos) = rest.iter().position(|a| a == "--streaming") {
-                streaming = true;
-                rest.remove(pos);
-            }
             let Some((path, specs)) = rest.split_first() else {
                 return Err(USAGE.to_owned());
             };
             if specs.is_empty() {
                 return Err(USAGE.to_owned());
             }
-            let (out, report) = if streaming {
-                dfcm_tools::eval_streaming(&PathBuf::from(path), specs, &engine)
-            } else {
-                dfcm_tools::eval(&PathBuf::from(path), specs, &engine)
-            }
-            .map_err(|e| e.to_string())?;
+            let (out, report) = dfcm_tools::eval(&PathBuf::from(path), specs, &engine)
+                .map_err(|e| e.to_string())?;
             if let Some(metrics_path) = metrics_path {
                 report
                     .write_jsonl(&metrics_path)

@@ -24,7 +24,8 @@ fn gen_stats_eval_pipeline() {
         &dfcm_sim::EngineConfig::threads(2),
     )
     .unwrap();
-    assert_eq!(report.tasks.len(), 3);
+    // One streaming pass feeds all three predictors.
+    assert_eq!(report.tasks.len(), 1);
     assert_eq!(report.total_records(), 3 * 20_000);
     assert!(eval.contains("lvp(2^12)"), "{eval}");
     assert!(eval.contains("dfcm(l1=2^12,l2=2^12"), "{eval}");
@@ -71,6 +72,47 @@ fn eval_rejects_bad_spec_cleanly() {
     .unwrap_err();
     assert!(e.to_string().contains("unknown predictor"));
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn eval_rejects_missing_file_before_running() {
+    let path = temp("does_not_exist.trc");
+    let _ = std::fs::remove_file(&path);
+    let e = dfcm_tools::eval(
+        &path,
+        &["lvp:10".into()],
+        &dfcm_sim::EngineConfig::default(),
+    )
+    .unwrap_err();
+    assert!(e.to_string().contains("does_not_exist.trc"), "{e}");
+}
+
+#[test]
+fn eval_rejects_garbage_file_before_running() {
+    // A wrong magic, and a file too short to hold one.
+    for (name, bytes, reason) in [
+        (
+            "eval_garbage.trc",
+            &b"not a trace file at all"[..],
+            "not a dfcm trace",
+        ),
+        ("eval_short.trc", &b"DFCM"[..], "fill whole buffer"),
+    ] {
+        let path = temp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let e = dfcm_tools::eval(
+            &path,
+            &["lvp:10".into()],
+            &dfcm_sim::EngineConfig::default(),
+        )
+        .unwrap_err();
+        let message = e.to_string();
+        assert!(
+            message.contains(name) && message.contains(reason),
+            "{message}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
